@@ -21,10 +21,6 @@
 #   make bench-substrate  the rank/select substrate microbenchmarks
 #                         (bits, bitvector, wavelet, ring Leap/Bind);
 #                         benchstat-friendly: set BENCH_COUNT>=10 to compare
-#   make bench-serve      the ringserve load-generator sweep (GOMAXPROCS
-#                         1/4 x 1/4/16 clients x cache on/off, plus the
-#                         shared-scan 2-core hot-set mix), writing
-#                         BENCH_serve.json
 #   make bench-batch      batched-vs-scalar leapfrog on the adversarial
 #                         run workloads (dense runs, sparse tails,
 #                         selective joins), writing BENCH_batch_leap.json
@@ -44,16 +40,21 @@
 #                         leader kill, promote, clean drain
 #   make race-batch  batched lane (wavelet/ring/ltj) under -race with the
 #               ringdebug assertions enabled
+#   make bench-check  vet + test the nested benchmark module
+#               (cmd/ringbench, its own go.mod over this module's
+#               internal/* packages; ~10 s) — the root build and tests
+#               do not compile it
 #   make check  fmt + vet + lint + build + test + test-debug + race +
-#               race-batch + bench-smoke + bench-batch + serve-smoke +
-#               persist-smoke + mmap-smoke + repl-smoke
+#               race-batch + bench-smoke + bench-check + serve-smoke +
+#               persist-smoke + mmap-smoke + repl-smoke; leaves the
+#               tree clean
 
 GO ?= go
 BENCH_COUNT ?= 1
 
-.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-substrate bench-serve bench-batch bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
+.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-check bench-substrate bench-batch bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
 
-check: fmt vet lint build test test-debug race race-batch bench-smoke bench-batch serve-smoke persist-smoke mmap-smoke repl-smoke
+check: fmt vet lint build test test-debug race race-batch bench-smoke bench-check serve-smoke persist-smoke mmap-smoke repl-smoke
 
 fmt:
 	@unformatted=$$(gofmt -s -l .); \
@@ -86,8 +87,8 @@ race:
 	$(GO) test -race ./...
 
 # Batched lane under the race detector with the ringdebug assertions on:
-# the radix-intersection descents and shared-scan grouping run with both
-# their invariant checks and concurrency instrumentation.
+# the radix-intersection descents run with both their invariant checks
+# and concurrency instrumentation.
 race-batch:
 	$(GO) test -race -tags ringdebug ./internal/wavelet ./internal/ring ./internal/ltj
 
@@ -101,9 +102,8 @@ bench-substrate:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) \
 		./internal/bits ./internal/bitvector ./internal/wavelet ./internal/ring
 
-bench-serve:
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json \
-		$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkReplFanout' -benchtime 2s ./internal/server
+bench-check:
+	cd cmd/ringbench && $(GO) vet ./... && $(GO) test ./...
 
 bench-batch:
 	BENCH_BATCH_JSON=$(CURDIR)/BENCH_batch_leap.json \

@@ -88,7 +88,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 256, "result-cache entry bound (negative disables the cache)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache approximate byte bound")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "hard deadline for in-flight queries after SIGTERM")
-	noSharedScan := flag.Bool("no-shared-scan", false, "disable shared-scan batching of identical concurrent cache-miss queries")
 	replListen := flag.String("repl-listen", "", "live mode: serve the replication endpoint (snapshot + WAL stream) on this address")
 	follow := flag.String("follow", "", "follower mode: bootstrap from and tail this leader replication address (host:port)")
 	advertise := flag.String("advertise", "", "client-facing address advertised to followers for mutation redirects (default: -addr)")
@@ -114,18 +113,17 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		MaxConcurrent:     *maxConcurrent,
-		MaxQueue:          *maxQueue,
-		QueueWait:         *queueWait,
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		DefaultLimit:      *limit,
-		MaxLimit:          *maxLimit,
-		Parallelism:       *parallel,
-		CacheEntries:      *cacheEntries,
-		CacheBytes:        *cacheBytes,
-		DisableSharedScan: *noSharedScan,
-		MaxReplicaLag:     *maxReplicaLag,
+		MaxConcurrent:  *maxConcurrent,
+		MaxQueue:       *maxQueue,
+		QueueWait:      *queueWait,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		DefaultLimit:   *limit,
+		MaxLimit:       *maxLimit,
+		Parallelism:    *parallel,
+		CacheEntries:   *cacheEntries,
+		CacheBytes:     *cacheBytes,
+		MaxReplicaLag:  *maxReplicaLag,
 	})
 	if err != nil {
 		log.Fatal(err)

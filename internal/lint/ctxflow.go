@@ -11,10 +11,11 @@ package lint
 // Two rules:
 //
 //   - context.Background() and context.TODO() are flagged everywhere
-//     unless the line carries //ringlint:detach -- reason. The repo has
-//     exactly two legitimate detach points: the shared-scan group
-//     context (the evaluation outlives the leader's request) and the
-//     parallel-LTJ fallback when the caller provides no context.
+//     unless the line carries //ringlint:detach -- reason. The repo's
+//     legitimate detach points are roots with no inbound context to
+//     inherit: process shutdown in ringserve, the replication tail loop
+//     (Close cancels it) and the parallel-LTJ fallback when the caller
+//     provides no context.
 //
 //   - In packages importing net/http, within functions reachable from a
 //     handler (signature contains http.ResponseWriter and

@@ -2,8 +2,8 @@ package lint
 
 // golife requires every go statement to have a tracked termination path.
 // A goroutine nobody can join is a leak the compiler will never mention:
-// the shared-scan disconnect watcher, the WAL committer, the checkpoint
-// and compaction loops and the parallel-LTJ workers all outlive the
+// the WAL committer, the checkpoint and compaction loops, the
+// replication tail and the parallel-LTJ workers all outlive the
 // statement that spawns them, and a missing join turns into an
 // accumulating goroutine count (or a send on a closed channel) only
 // under production load.

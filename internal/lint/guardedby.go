@@ -4,11 +4,10 @@ package lint
 // //ringlint:guarded-by <mu> on struct fields: every read or write of an
 // annotated field must happen in a function that holds the named mutex
 // on the path to the access. The serving tier (admission semaphore,
-// result cache, shared-scan registry, WAL, dynamic store, mmap region
-// refcounts) keeps its invariants behind plain sync.Mutex fields; a
-// single missed lock surfaces as a rare torn read under load, not as a
-// test failure — exactly the bug class a compiler-shaped check should
-// own.
+// result cache, WAL, dynamic store, mmap region refcounts) keeps its
+// invariants behind plain sync.Mutex fields; a single missed lock
+// surfaces as a rare torn read under load, not as a test failure —
+// exactly the bug class a compiler-shaped check should own.
 //
 // The analysis is a per-function, branch-scoped walk, not a fixpoint
 // over a CFG:
@@ -30,8 +29,8 @@ package lint
 //
 // The guard argument is either a sibling field name ("mu": a.mu guards
 // a.used, matched by receiver expression) or Type.field naming another
-// struct's mutex in the same package (any holder qualifies — the
-// shared-scan registry lock guarding the scanGroup records it owns).
+// struct's mutex in the same package (any holder qualifies — a
+// registry lock guarding the records it owns).
 // The walk does not distinguish read from write locks: an RLock holder
 // may read and — per this analyzer — write; write-under-RLock is left to
 // the race detector lane. Reviewed lock-free fast paths carry
@@ -50,7 +49,7 @@ func (guardedby) Name() string { return "guardedby" }
 // gbGuard is the mutex protecting one annotated field.
 type gbGuard struct {
 	mu      *types.Var
-	muName  string // rendered for diagnostics, e.g. "mu" or "sharedScans.mu"
+	muName  string // rendered for diagnostics, e.g. "mu" or "registry.mu"
 	sibling bool   // sibling field: lock receiver must match access base
 }
 

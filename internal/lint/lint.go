@@ -72,8 +72,8 @@
 //
 //   - //ringlint:detach -- reason
 //     On or immediately above a line: this context.Background()/TODO()
-//     is a reviewed detach point (e.g. the shared-scan group context
-//     that outlives the leader's request). (ctxflow)
+//     is a reviewed detach point (e.g. the replication tail loop, which
+//     outlives any caller context). (ctxflow)
 //
 //   - //ringlint:durable
 //     In a file header: the file performs durability-critical I/O, so

@@ -115,10 +115,6 @@ type metrics struct {
 	ltjLeaps, ltjBinds, ltjSeeks, ltjEnums counter
 	ltjBatchDescents, ltjBatchEmits        counter
 
-	// Shared-scan batch execution: groups led and followers served from
-	// another request's evaluation.
-	sharedGroups, sharedFollowers counter
-
 	indexTriples, indexSubjects, indexPredicates, indexObjects gauge
 }
 
@@ -196,8 +192,6 @@ func (m *metrics) writeProm(w io.Writer, cs cacheStats) {
 	writeCounter(w, "ringserve_ltj_enumerations_total", "LTJ lonely-variable enumerations across all queries.", m.ltjEnums.value())
 	writeCounter(w, "ringserve_ltj_batch_descents_total", "LTJ batched radix-intersection descents across all queries.", m.ltjBatchDescents.value())
 	writeCounter(w, "ringserve_ltj_batch_emits_total", "Candidates emitted by LTJ batched descents across all queries.", m.ltjBatchEmits.value())
-	writeCounter(w, "ringserve_shared_scan_groups_total", "Shared-scan groups led (one engine pass each).", m.sharedGroups.value())
-	writeCounter(w, "ringserve_shared_scan_followers_total", "Queries served as followers of another request's shared scan.", m.sharedFollowers.value())
 	writeGauge(w, "ringserve_index_triples", "Triples in the loaded index.", &m.indexTriples)
 	writeGauge(w, "ringserve_index_distinct_subjects", "Distinct subjects in the loaded index.", &m.indexSubjects)
 	writeGauge(w, "ringserve_index_distinct_predicates", "Distinct predicates in the loaded index.", &m.indexPredicates)

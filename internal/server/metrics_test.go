@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,9 +88,16 @@ func TestWritePromFormat(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Every series line must be "# ..." metadata or "name[{labels}] value".
+	// Every series line must be "# ..." metadata or "name[{labels}] value",
+	// and the families are exactly the ones listed: a series added or
+	// removed has to show up here.
+	var families []string
 	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(rest)[0])
+			continue
+		}
+		if strings.HasPrefix(line, "# HELP ") {
 			continue
 		}
 		fields := strings.Split(line, " ")
@@ -106,5 +114,20 @@ func TestWritePromFormat(t *testing.T) {
 		if !strings.HasPrefix(name, "ringserve_") {
 			t.Fatalf("series %q lacks the ringserve_ prefix", line)
 		}
+	}
+	wantFamilies := []string{
+		"ringserve_requests_total", "ringserve_queries_total", "ringserve_admission_shed_total",
+		"ringserve_in_flight", "ringserve_admission_queue_depth", "ringserve_ready",
+		"ringserve_query_duration_seconds",
+		"ringserve_mutations_total", "ringserve_mutation_triples_total", "ringserve_mutation_duration_seconds",
+		"ringserve_cache_hits_total", "ringserve_cache_misses_total", "ringserve_cache_evictions_total",
+		"ringserve_cache_invalidations_total", "ringserve_cache_entries", "ringserve_cache_bytes",
+		"ringserve_ltj_leaps_total", "ringserve_ltj_binds_total", "ringserve_ltj_seeks_total",
+		"ringserve_ltj_enumerations_total", "ringserve_ltj_batch_descents_total", "ringserve_ltj_batch_emits_total",
+		"ringserve_index_triples", "ringserve_index_distinct_subjects",
+		"ringserve_index_distinct_predicates", "ringserve_index_distinct_objects",
+	}
+	if !slices.Equal(families, wantFamilies) {
+		t.Fatalf("metric families = %v\nwant %v", families, wantFamilies)
 	}
 }

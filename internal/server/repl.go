@@ -121,14 +121,12 @@ func (s *Server) waitMinSeq(w http.ResponseWriter, r *http.Request) bool {
 	}
 	minSeq, err := strconv.ParseUint(h, 10, 64)
 	if err != nil {
-		s.met.queries.get(`outcome="bad_request"`).inc()
-		jsonError(w, http.StatusBadRequest, "bad X-Ring-Min-Seq: "+err.Error())
+		s.badQuery(w, "bad X-Ring-Min-Seq: "+err.Error())
 		return false
 	}
 	db := s.live.Load()
 	if db == nil {
-		s.met.queries.get(`outcome="bad_request"`).inc()
-		jsonError(w, http.StatusBadRequest, "X-Ring-Min-Seq requires a live or replica server")
+		s.badQuery(w, "X-Ring-Min-Seq requires a live or replica server")
 		return false
 	}
 	waitCtx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueWait)
@@ -138,14 +136,10 @@ func (s *Server) waitMinSeq(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	if r.Context().Err() != nil {
-		s.met.queries.get(`outcome="cancelled"`).inc()
-		w.WriteHeader(statusClientClosedRequest)
+		s.clientGone(w)
 		return false
 	}
-	s.met.queries.get(`outcome="shed"`).inc()
-	s.met.shed.get(`reason="min_seq"`).inc()
-	w.Header().Set("Retry-After", "1")
-	jsonError(w, http.StatusServiceUnavailable,
+	s.shedQuery(w, http.StatusServiceUnavailable, `reason="min_seq"`,
 		fmt.Sprintf("replica behind: applied %d < requested %d", db.AppliedSeq(), minSeq))
 	return false
 }

@@ -56,9 +56,6 @@ type QueryResponse struct {
 	// TimedOut is set when evaluation hit the deadline; Solutions then
 	// holds the partial results found in time.
 	TimedOut bool `json:"timed_out,omitempty"`
-	// Shared is set when the solutions came from another request's
-	// shared-scan evaluation (this request attached as a follower).
-	Shared bool `json:"shared,omitempty"`
 	// Stats counts the engine operations of this evaluation (absent on
 	// cache hits).
 	Stats *StatsJSON `json:"stats,omitempty"`

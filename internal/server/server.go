@@ -10,15 +10,15 @@
 //
 // The request path is admission → cache → engine:
 //
-//	parse → compile → cache lookup ── hit ──────────────► respond
-//	                      │ miss
-//	                      ▼
-//	            admission.acquire (bounded queue; shed 429/503)
-//	                      ▼
-//	            query.Select.Run (ltj over the shared ring,
-//	                      │        ctx-cancellable, deadline-bounded)
-//	                      ▼
-//	            decode → cache fill → respond
+//	gate → parse → compile → cache lookup ── hit ───────► respond
+//	                             │ miss
+//	                             ▼
+//	                   admission.acquire (bounded queue; shed 429/503)
+//	                             ▼
+//	                   query.Select.Run (ltj over the shared ring,
+//	                             │        ctx-cancellable, deadline-bounded)
+//	                             ▼
+//	                   decode → cache fill → respond
 //
 // The ring's query structures are immutable after load, so queries share
 // the index without locks; all mutable state (cache, counters, admission)
@@ -82,10 +82,6 @@ type Config struct {
 	CacheBytes   int64
 	// AccessLog receives one JSON line per request (default os.Stderr).
 	AccessLog io.Writer
-	// DisableSharedScan turns off shared-scan batch execution: grouping
-	// concurrently-arriving cache-miss queries with the same canonical
-	// pattern into one engine pass (see sharedscan.go).
-	DisableSharedScan bool
 	// MaxReplicaLag bounds how far behind a follower may fall before
 	// /readyz reports 503 and load balancers route reads elsewhere
 	// (default 30s). Only meaningful when SetFollower installs a replica.
@@ -138,8 +134,7 @@ type Server struct {
 	cache  *resultCache // nil when disabled
 	met    *metrics
 	log    *slog.Logger
-	weight int         // admission weight of one query
-	scans  sharedScans // in-flight shared-scan groups
+	weight int // admission weight of one query
 
 	store      atomic.Pointer[wcoring.Store]
 	live       atomic.Pointer[persist.DB] // set instead of store in live mode
@@ -482,20 +477,17 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "invalidated"})
 }
 
+// handleQuery is the one query path (package comment). Concurrent
+// identical cache misses each take their own admission slot: overload is
+// bounded by admission, repeats by the cache once the first copy finishes.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	idx := s.index()
 	switch {
 	case s.draining.Load():
-		s.met.queries.get(`outcome="shed"`).inc()
-		s.met.shed.get(`reason="draining"`).inc()
-		w.Header().Set("Retry-After", "1")
-		jsonError(w, http.StatusServiceUnavailable, "draining")
+		s.shedQuery(w, http.StatusServiceUnavailable, `reason="draining"`, "draining")
 		return
 	case idx == nil || !s.ready.Load():
-		s.met.queries.get(`outcome="shed"`).inc()
-		s.met.shed.get(`reason="not_ready"`).inc()
-		w.Header().Set("Retry-After", "1")
-		jsonError(w, http.StatusServiceUnavailable, "index loading")
+		s.shedQuery(w, http.StatusServiceUnavailable, `reason="not_ready"`, "index loading")
 		return
 	}
 
@@ -507,8 +499,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	req, err := parseRequest(r)
 	if err != nil {
-		s.met.queries.get(`outcome="bad_request"`).inc()
-		jsonError(w, http.StatusBadRequest, err.Error())
+		s.badQuery(w, err.Error())
 		return
 	}
 	timeout := effectiveTimeout(req.TimeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
@@ -516,14 +507,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	encoded, predVars, feasible, err := idx.Compile(req.patternStrings())
-	if err != nil {
-		s.met.queries.get(`outcome="bad_request"`).inc()
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
+	if err == nil {
+		err = checkVars(encoded, req.Project, req.OrderBy, feasible)
 	}
-	if err := checkVars(encoded, req.Project, req.OrderBy, feasible); err != nil {
-		s.met.queries.get(`outcome="bad_request"`).inc()
-		jsonError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		s.badQuery(w, err.Error())
 		return
 	}
 	if !feasible {
@@ -558,13 +546,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Shared-scan lane: if an identical-pattern evaluation is already in
-	// flight (or other copies of this query are about to arrive), attach
-	// to one group and let a single engine pass serve them all.
-	if s.trySharedScan(w, r, idx, req, sel, key, cacheable, predVars, start) {
-		return
-	}
-
 	// Admission: wait in the bounded queue for at most QueueWait (or
 	// until the client goes away), then hold the weight for the whole
 	// evaluation.
@@ -574,18 +555,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, errQueueFull):
-			s.met.queries.get(`outcome="shed"`).inc()
-			s.met.shed.get(`reason="queue_full"`).inc()
-			w.Header().Set("Retry-After", "1")
-			jsonError(w, http.StatusTooManyRequests, "server saturated: admission queue full")
+			s.shedQuery(w, http.StatusTooManyRequests, `reason="queue_full"`, "server saturated: admission queue full")
 		case r.Context().Err() != nil:
-			s.met.queries.get(`outcome="cancelled"`).inc()
-			w.WriteHeader(statusClientClosedRequest)
+			s.clientGone(w)
 		default: // queue wait timed out
-			s.met.queries.get(`outcome="shed"`).inc()
-			s.met.shed.get(`reason="queue_timeout"`).inc()
-			w.Header().Set("Retry-After", "1")
-			jsonError(w, http.StatusServiceUnavailable, "server saturated: admission wait timed out")
+			s.shedQuery(w, http.StatusServiceUnavailable, `reason="queue_timeout"`, "server saturated: admission wait timed out")
 		}
 		return
 	}
@@ -609,10 +583,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	timedOut := errors.Is(err, ltj.ErrTimeout)
 	if err != nil && !timedOut {
-		if errors.Is(err, ltj.ErrCancelled) {
-			// The client went away mid-evaluation; nobody reads the body.
-			s.met.queries.get(`outcome="cancelled"`).inc()
-			w.WriteHeader(statusClientClosedRequest)
+		if errors.Is(err, ltj.ErrCancelled) { // the client went away mid-evaluation
+			s.clientGone(w)
 			return
 		}
 		s.met.queries.get(`outcome="error"`).inc()
@@ -638,6 +610,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: msSince(start),
 		Stats:     statsJSON(st),
 	})
+}
+
+// shedQuery refuses a query retryably: the shed is counted under its
+// pre-rendered reason label and the client is told to come back.
+func (s *Server) shedQuery(w http.ResponseWriter, code int, reason, msg string) {
+	s.met.queries.get(`outcome="shed"`).inc()
+	s.met.shed.get(reason).inc()
+	w.Header().Set("Retry-After", "1")
+	jsonError(w, code, msg)
+}
+
+// badQuery answers a query the client must fix before retrying.
+func (s *Server) badQuery(w http.ResponseWriter, msg string) {
+	s.met.queries.get(`outcome="bad_request"`).inc()
+	jsonError(w, http.StatusBadRequest, msg)
+}
+
+// clientGone records a query whose client disconnected before the
+// response; nobody reads the body.
+func (s *Server) clientGone(w http.ResponseWriter) {
+	s.met.queries.get(`outcome="cancelled"`).inc()
+	w.WriteHeader(statusClientClosedRequest)
 }
 
 // statusClientClosedRequest is nginx's conventional code for "client

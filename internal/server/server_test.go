@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +124,49 @@ func getBody(t testing.TB, url string) (string, int) {
 	return string(b), resp.StatusCode
 }
 
+// threeHop is the 3-hop all-variable join over heavyStore: with a huge
+// limit it cannot finish within any deadline a test sets, so it pins an
+// admission slot for as long as the test needs.
+func threeHop() []PatternJSON {
+	return []PatternJSON{
+		{S: "?a", P: "?p", O: "?b"},
+		{S: "?b", P: "?q", O: "?c"},
+		{S: "?c", P: "?r", O: "?d"},
+	}
+}
+
+// anchoredJoin is a selective 2-pattern join over heavyStore, anchored
+// on one subject.
+func anchoredJoin() []PatternJSON {
+	return []PatternJSON{
+		{S: "n000", P: "?p", O: "?b"},
+		{S: "?b", P: "p0", O: "?c"},
+	}
+}
+
+// waitMetrics polls /metrics until every wanted line is present.
+func waitMetrics(t testing.TB, ts *httptest.Server, want ...string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		body, _ := getBody(t, ts.URL+"/metrics")
+		missing := ""
+		for _, w := range want {
+			if !strings.Contains(body, w+"\n") {
+				missing = w
+				break
+			}
+		}
+		if missing == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics never showed %q:\n%s", missing, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestQueryPOST(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	qr, code := postQuery(t, ts, QueryRequest{
@@ -174,6 +218,61 @@ func TestQueryGET(t *testing.T) {
 	}
 	if qr.Count != 2 || qr.Solutions[0]["x"] != "alice" || len(qr.Solutions[0]) != 1 {
 		t.Fatalf("solutions = %v", qr.Solutions)
+	}
+}
+
+// TestDistinctOrderByNoCache: the clauses that change how a result is
+// produced (dedup, sort, cache bypass) all answer correctly.
+func TestDistinctOrderByNoCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	knows := []PatternJSON{{S: "?x", P: "knows", O: "?y"}}
+	for name, req := range map[string]QueryRequest{
+		"distinct": {Pattern: knows, Project: []string{"x"}, Distinct: true},
+		"orderby":  {Pattern: knows, OrderBy: []string{"x"}},
+		"nocache":  {Pattern: knows, NoCache: true},
+	} {
+		qr, code := postQuery(t, ts, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d", name, code)
+		}
+		if qr.Count != 3 {
+			t.Fatalf("%s: count = %d, want 3", name, qr.Count)
+		}
+	}
+}
+
+// TestProjectOffsetLimitViews: projections and offset/limit windows of
+// one pattern are exactly the corresponding view of its full result (the
+// engine is deterministic in sequential mode).
+func TestProjectOffsetLimitViews(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: heavyStore(t), CacheEntries: -1})
+	full, code := postQuery(t, ts, QueryRequest{Pattern: anchoredJoin()})
+	if code != http.StatusOK || full.Count < 5 {
+		t.Fatalf("full result: status %d, %+v", code, full)
+	}
+	project := func(sols []map[string]string, v string) []map[string]string {
+		out := make([]map[string]string, len(sols))
+		for i, m := range sols {
+			out[i] = map[string]string{v: m[v]}
+		}
+		return out
+	}
+	for name, tc := range map[string]struct {
+		req  QueryRequest
+		want []map[string]string
+	}{
+		"project b": {QueryRequest{Pattern: anchoredJoin(), Project: []string{"b"}}, project(full.Solutions, "b")},
+		"project c": {QueryRequest{Pattern: anchoredJoin(), Project: []string{"c"}}, project(full.Solutions, "c")},
+		"window":    {QueryRequest{Pattern: anchoredJoin(), Offset: 2, Limit: 3}, full.Solutions[2:5]},
+		"limit 1":   {QueryRequest{Pattern: anchoredJoin(), Limit: 1}, full.Solutions[:1]},
+	} {
+		qr, code := postQuery(t, ts, tc.req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d", name, code)
+		}
+		if !reflect.DeepEqual(qr.Solutions, tc.want) {
+			t.Fatalf("%s: got %v\nwant %v", name, qr.Solutions, tc.want)
+		}
 	}
 }
 
@@ -467,6 +566,154 @@ func TestShedUnderLoad(t *testing.T) {
 	body, _ := getBody(t, ts.URL+"/metrics")
 	if !strings.Contains(body, `ringserve_admission_shed_total{reason="queue_`) {
 		t.Fatalf("metrics missing shed series:\n%s", body)
+	}
+}
+
+// TestIdenticalQueriesQueueAndShed: concurrent identical cache misses are
+// ordinary queries — each takes its own admission slot, so six of them
+// against one busy slot and four queue places leave exactly two shed, and
+// the four that run return the same solutions.
+func TestIdenticalQueriesQueueAndShed(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Store:         heavyStore(t),
+		MaxConcurrent: 1,
+		MaxQueue:      4,
+		QueueWait:     30 * time.Second,
+		MaxLimit:      1 << 30,
+	})
+
+	// The plug holds the only slot until its client hangs up.
+	plugCtx, unplug := context.WithCancel(context.Background())
+	defer unplug()
+	plugBody, _ := json.Marshal(QueryRequest{Pattern: threeHop(), Limit: 1 << 30, TimeoutMS: 30000, NoCache: true})
+	plugReq, err := http.NewRequestWithContext(plugCtx, http.MethodPost, ts.URL+"/query", bytes.NewReader(plugBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plugDone := make(chan struct{})
+	go func() {
+		defer close(plugDone)
+		if resp, err := http.DefaultClient.Do(plugReq); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	waitMetrics(t, ts, "ringserve_in_flight 1")
+
+	body, _ := json.Marshal(QueryRequest{Pattern: anchoredJoin()})
+	type result struct {
+		code  int
+		retry string
+		body  []byte
+		err   error
+	}
+	const clients = 6
+	results := make(chan result, clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				results <- result{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			results <- result{resp.StatusCode, resp.Header.Get("Retry-After"), b, err}
+		}()
+	}
+	// All six have met admission: four wait, two were turned away.
+	waitMetrics(t, ts, "ringserve_admission_queue_depth 4", `ringserve_admission_shed_total{reason="queue_full"} 2`)
+	unplug()
+	<-plugDone
+
+	var first *QueryResponse
+	ok, shed := 0, 0
+	for i := 0; i < clients; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		switch r.code {
+		case http.StatusOK:
+			ok++
+			if bytes.Contains(r.body, []byte(`"shared"`)) {
+				t.Fatalf("response carries a \"shared\" field: %s", r.body)
+			}
+			var qr QueryResponse
+			if err := json.Unmarshal(r.body, &qr); err != nil {
+				t.Fatal(err)
+			}
+			if qr.Count == 0 {
+				t.Fatal("anchored join returned no solutions")
+			}
+			if first == nil {
+				first = &qr
+			} else if !reflect.DeepEqual(qr.Solutions, first.Solutions) {
+				t.Fatal("identical queries returned different solutions")
+			}
+		case http.StatusTooManyRequests:
+			shed++
+			if r.retry == "" {
+				t.Error("429 without Retry-After")
+			}
+		default:
+			t.Fatalf("unexpected status %d: %s", r.code, r.body)
+		}
+	}
+	if ok != 4 || shed != 2 {
+		t.Fatalf("got %d ok / %d shed, want 4 / 2", ok, shed)
+	}
+
+	// The only shed reasons a query can meet are the admission and gate ones.
+	metrics, _ := getBody(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(metrics, "\n") {
+		reason, found := strings.CutPrefix(line, `ringserve_admission_shed_total{reason="`)
+		if !found {
+			continue
+		}
+		switch reason[:strings.IndexByte(reason, '"')] {
+		case "queue_full", "queue_timeout", "draining", "not_ready", "min_seq":
+		default:
+			t.Errorf("unknown shed reason in %q", line)
+		}
+	}
+}
+
+// TestConcurrentIdenticalQueries: with free slots, concurrent identical
+// cache misses all evaluate and agree, and the next copy is a cache hit.
+func TestConcurrentIdenticalQueries(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: heavyStore(t), MaxConcurrent: 8, MaxQueue: 32})
+	req := QueryRequest{Pattern: threeHop(), Limit: 5000}
+
+	const clients = 8
+	results := make([]*QueryResponse, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			qr, code := postQuery(t, ts, req)
+			if code != http.StatusOK {
+				t.Errorf("client %d: status %d", i, code)
+				return
+			}
+			results[i] = qr
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, qr := range results {
+		if qr.Count != 5000 {
+			t.Fatalf("client %d: count = %d, want 5000", i, qr.Count)
+		}
+		if !reflect.DeepEqual(qr.Solutions, results[0].Solutions) {
+			t.Fatalf("client %d solutions differ from client 0", i)
+		}
+	}
+	if qr, code := postQuery(t, ts, req); code != http.StatusOK || !qr.Cached {
+		t.Fatalf("ninth copy: code %d, want a cache hit", code)
 	}
 }
 

@@ -346,10 +346,10 @@ func (w *Workload) RealWorldQuery(maxTriples int) graph.Pattern {
 // SharedScanCores generates n distinct selective 2-pattern join cores —
 // the query shape of a cache-miss-heavy serving workload with a small
 // hot set: (s, ?p, ?b) ⋈ (?b, p, ?c), anchored on a concrete subject.
-// Many concurrent clients drawing from a small core set produce exactly
-// the identical-canonical-pattern collisions the server's shared-scan
-// lane batches into one evaluation; each core is seeded by a random walk
-// so it has at least one solution. Cores are distinct by their (anchor,
+// Many concurrent clients drawing from a small core set collide on
+// identical canonical patterns, which the server's result cache absorbs
+// after the first copy; each core is seeded by a random walk so it has
+// at least one solution. Cores are distinct by their (anchor,
 // predicate) pair; fewer than n may be returned on very sparse graphs.
 func (w *Workload) SharedScanCores(n int) []graph.Pattern {
 	if w.g.Len() == 0 {

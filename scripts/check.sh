@@ -2,7 +2,8 @@
 # CI gate: formatting, vet, the repo-specific ringlint analyzers, build,
 # shuffled tests, the ringdebug assertion lane, the full-module
 # race-detector lane (~4m on a single-CPU container), a
-# compile-and-smoke pass over every benchmark (one iteration each), the
+# compile-and-smoke pass over every benchmark (one iteration each), vet
+# and tests of the nested benchmark module (cmd/ringbench), the
 # end-to-end ringserve smoke (query, overload shedding, SIGTERM drain),
 # the live-update persistence smoke (insert, SIGKILL, WAL recovery,
 # checkpointed drain), the zero-copy mmap smoke (layout inspection,
@@ -53,8 +54,8 @@ go test -race -tags ringdebug ./internal/wavelet ./internal/ring ./internal/ltj
 echo "== bench smoke (compile and run every benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== bench batch (batched vs scalar leapfrog, writes BENCH_batch_leap.json)"
-BENCH_BATCH_JSON="$(pwd)/BENCH_batch_leap.json" go test -run TestRecordBatchLeapBench ./internal/ring
+echo "== bench check (cmd/ringbench is its own module: vet and test it against this tree)"
+(cd cmd/ringbench && go vet ./... && go test ./...)
 
 echo "== serve smoke (end-to-end ringserve: query, shed, drain)"
 sh scripts/serve_smoke.sh
