@@ -12,7 +12,8 @@
 #   make build  compile everything
 #   make test   full test suite, shuffled (includes the fuzz seed corpora)
 #   make test-debug  internal packages with the ringdebug assertion tag
-#               (rank/select inverses, wavelet range sanity, leap ordering)
+#               (rank/select inverses, wavelet range sanity, leap ordering,
+#               the last-variable Bind normal builds skip)
 #   make race   race-detector lane over the full module (~4m on a
 #               single-CPU container; rerun alone when iterating)
 #   make bench  the parallel-LTJ sweep benchmark, one iteration
@@ -21,9 +22,6 @@
 #   make bench-substrate  the rank/select substrate microbenchmarks
 #                         (bits, bitvector, wavelet, ring Leap/Bind);
 #                         benchstat-friendly: set BENCH_COUNT>=10 to compare
-#   make bench-batch      batched-vs-scalar leapfrog on the adversarial
-#                         run workloads (dense runs, sparse tails,
-#                         selective joins), writing BENCH_batch_leap.json
 #   make bench-mmap-load  cold-start load comparison, decode vs mmap
 #                         (wall + peak RSS, fresh process per run),
 #                         writing BENCH_mmap_load.json
@@ -52,7 +50,7 @@
 GO ?= go
 BENCH_COUNT ?= 1
 
-.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-check bench-substrate bench-batch bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
+.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-check bench-substrate bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
 
 check: fmt vet lint build test test-debug race race-batch bench-smoke bench-check serve-smoke persist-smoke mmap-smoke repl-smoke
 
@@ -104,10 +102,6 @@ bench-substrate:
 
 bench-check:
 	cd cmd/ringbench && $(GO) vet ./... && $(GO) test ./...
-
-bench-batch:
-	BENCH_BATCH_JSON=$(CURDIR)/BENCH_batch_leap.json \
-		$(GO) test -run TestRecordBatchLeapBench ./internal/ring
 
 bench-mmap-load:
 	$(GO) run ./cmd/benchload -json $(CURDIR)/BENCH_mmap_load.json

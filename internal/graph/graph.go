@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -226,15 +228,14 @@ func dedup(ts []Triple) []Triple {
 
 // SortSPO sorts triples by (subject, predicate, object).
 func SortSPO(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.S != b.S {
-			return a.S < b.S
+	slices.SortFunc(ts, func(a, b Triple) int {
+		if c := cmp.Compare(a.S, b.S); c != 0 {
+			return c
 		}
-		if a.P != b.P {
-			return a.P < b.P
+		if c := cmp.Compare(a.P, b.P); c != 0 {
+			return c
 		}
-		return a.O < b.O
+		return cmp.Compare(a.O, b.O)
 	})
 }
 

@@ -17,32 +17,22 @@ import (
 	"repro/internal/wavelet"
 )
 
-// defaultBatchThreshold is the minimum candidate-range length at which
-// the batched lane engages when Options.BatchThreshold is 0. Tiny ranges
-// leapfrog in a handful of descents, so the multi-range walk's setup is
-// not worth it there.
-const defaultBatchThreshold = 16
-
 // batchRuns decides whether variable j takes the batched lane and, if
 // so, collects the iterators' candidate ranges into the evaluator's
 // per-depth buffer (per-depth because the ranges stay live for the whole
 // IntersectRanges walk, across the recursion into deeper variables). The
 // lane requires ≥2 iterators (a lone iterator is the lonely/enumerate
 // case), single-position occurrences, RunLeaper support under the
-// current bindings, equal matrix widths, and a smallest range of at
-// least the selectivity threshold.
+// current bindings and equal matrix widths. Range length is not a
+// condition: the descent beats the seek loop down to ranges of one entry
+// (DESIGN.md §13 has the sweep), and an empty range ends it at the root.
 //
 //ringlint:hotpath allow-dispatch -- capability probe and LeapRun on the index-generic iterator
 func (e *evaluator) batchRuns(j int, ivs []iterVar) ([]wavelet.MatrixRange, bool) {
 	if e.opt.DisableBatch || len(ivs) < 2 {
 		return nil, false
 	}
-	thr := e.opt.BatchThreshold
-	if thr <= 0 {
-		thr = defaultBatchThreshold
-	}
 	rs := e.runBufs[j][:0]
-	minCount := -1
 	for _, iv := range ivs {
 		if len(iv.positions) != 1 {
 			return nil, false
@@ -55,24 +45,16 @@ func (e *evaluator) batchRuns(j int, ivs []iterVar) ([]wavelet.MatrixRange, bool
 		if !ok || (len(rs) > 0 && r.M.Width() != rs[0].M.Width()) {
 			return nil, false
 		}
-		if n := r.Hi - r.Lo; minCount < 0 || n < minCount {
-			minCount = n
-		}
 		rs = append(rs, r)
 	}
 	e.runBufs[j] = rs
-	if minCount < thr {
-		return nil, false
-	}
 	return rs, true
 }
 
 // searchBatched eliminates variable j with one radix intersection of the
-// collected ranges in place of the scalar seek loop. Each emitted value
-// is bound in every iterator and the search recurses, exactly as the
-// scalar loop's per-value body does — Empty() is still consulted, so an
-// index whose LeapRun over-approximates would degrade, not corrupt.
-func (e *evaluator) searchBatched(j int, name string, ivs []iterVar, rs []wavelet.MatrixRange) error {
+// collected ranges in place of the scalar seek loop; each emitted value
+// takes the same descend step a value accepted by the seek loop does.
+func (e *evaluator) searchBatched(j int, ivs []iterVar, rs []wavelet.MatrixRange) error {
 	e.stats.BatchDescents++
 	var rerr error
 	prev, havePrev := graph.ID(0), false
@@ -86,25 +68,7 @@ func (e *evaluator) searchBatched(j int, name string, ivs []iterVar, rs []wavele
 			e.debugCheckBatchEmit(ivs, v, prev, havePrev)
 			prev, havePrev = v, true
 		}
-		bound := 0
-		alive := true
-		for _, iv := range ivs {
-			e.stats.Binds++
-			iv.it.Bind(iv.positions[0], v)
-			bound++
-			if iv.it.Empty() {
-				alive = false
-				break
-			}
-		}
-		if alive {
-			e.binding[name] = v
-			rerr = e.search(j + 1)
-			delete(e.binding, name)
-		}
-		for i := 0; i < bound; i++ {
-			ivs[i].it.Unbind()
-		}
+		rerr = e.descend(j, ivs, v)
 		return rerr == nil && !e.stopped
 	})
 	return rerr

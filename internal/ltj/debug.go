@@ -34,3 +34,21 @@ func (e *evaluator) debugCheckBatchEmit(ivs []iterVar, v, prev graph.ID, havePre
 		}
 	}
 }
+
+// debugCheckElidedBind performs the binds descend skips for the last
+// variable of the order and asserts what the elision rests on: every
+// iterator that mentions the variable stays non-empty under v.
+func debugCheckElidedBind(ivs []iterVar, v graph.ID) {
+	for _, iv := range ivs {
+		for _, pos := range iv.positions {
+			iv.it.Bind(pos, v)
+		}
+		empty := iv.it.Empty()
+		for range iv.positions {
+			iv.it.Unbind()
+		}
+		if empty {
+			panic(fmt.Sprintf("ringdebug: ltj: last-variable value %d leaves an iterator empty — the elided Bind was not redundant", v))
+		}
+	}
+}

@@ -85,12 +85,6 @@ type Options struct {
 	// scalar leapfrog seek loop. The differential tests use this as the
 	// oracle configuration (ablation).
 	DisableBatch bool
-	// BatchThreshold is the minimum candidate-range length (the smallest
-	// iterator range over the join variable) at which the batched lane
-	// engages; below it the scalar seek loop wins because a handful of
-	// leaps beats walking the radix tree level by level. 0 means the
-	// default of 16. The differential tests force 1 for coverage.
-	BatchThreshold int
 	// Parallelism sets the number of worker goroutines for intra-query
 	// evaluation. 0 or 1 evaluates sequentially on the calling goroutine,
 	// producing solutions in the engine's deterministic order. Values > 1
@@ -130,7 +124,10 @@ type Result struct {
 type EvalStats struct {
 	// Leaps is the number of Leap calls issued.
 	Leaps int
-	// Binds is the number of Bind calls issued.
+	// Binds is the number of Bind calls issued. It is not the number of
+	// values visited: the last variable of the order is emitted without
+	// being bound (nothing reads the narrowed ranges), so its values
+	// count under Enumerations, BatchEmits or Seeks only.
 	Binds int
 	// Enumerations is the number of values produced through the
 	// lonely-variable fast path.
@@ -150,8 +147,12 @@ type EvalStats struct {
 func Evaluate(idx Index, q graph.Pattern, opt Options) (*Result, error) {
 	res := &Result{}
 	start := time.Now()
-	err := StreamStats(idx, q, opt, &res.Stats, func(b graph.Binding) bool {
-		res.Solutions = append(res.Solutions, b.Clone())
+	err := run(idx, q, opt, &res.Stats, func(order []string, vals []graph.ID) bool {
+		b := make(graph.Binding, len(order))
+		for j, name := range order {
+			b[name] = vals[j]
+		}
+		res.Solutions = append(res.Solutions, b)
 		return opt.Limit <= 0 || len(res.Solutions) < opt.Limit
 	})
 	res.Elapsed = time.Since(start)
@@ -172,6 +173,20 @@ func Stream(idx Index, q graph.Pattern, opt Options, emit func(graph.Binding) bo
 
 // StreamStats is Stream with operation counting into stats.
 func StreamStats(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit func(graph.Binding) bool) error {
+	b := graph.Binding{}
+	return run(idx, q, opt, stats, func(order []string, vals []graph.ID) bool {
+		for j, name := range order {
+			b[name] = vals[j]
+		}
+		return emit(b)
+	})
+}
+
+// run is the engine behind Evaluate and Stream. A solution reaches emit
+// as the slots the search keeps — vals[j] is the value of order[j], both
+// reused across calls — and the two callers above are the only places
+// that turn slots into a graph.Binding.
+func run(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit func(order []string, vals []graph.ID) bool) error {
 	if len(q) == 0 {
 		return nil
 	}
@@ -197,7 +212,7 @@ func StreamStats(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit
 	}
 	if len(e.pats) == 0 {
 		// All patterns ground and satisfied: the single empty solution.
-		emit(graph.Binding{})
+		emit(nil, nil)
 		return nil
 	}
 
@@ -206,7 +221,7 @@ func StreamStats(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit
 		return err
 	}
 	e.order = order
-	e.binding = graph.Binding{}
+	e.vals = make([]graph.ID, len(order))
 
 	if e.varIters, err = buildVarIters(order, e.pats); err != nil {
 		return err
@@ -270,11 +285,11 @@ type iterVar struct {
 
 type evaluator struct {
 	opt      Options
-	emit     func(graph.Binding) bool
+	emit     func(order []string, vals []graph.ID) bool
 	pats     []patternEntry
 	order    []string
 	varIters [][]iterVar
-	binding  graph.Binding
+	vals     []graph.ID              // vals[j] is order[j]'s value on the current search path
 	runBufs  [][]wavelet.MatrixRange // per-depth range buffers of the batched lane
 	deadline time.Time
 	ctx      context.Context // cancellation: Options.Context, or the workers' derived context in parallel mode
@@ -313,35 +328,22 @@ func (e *evaluator) checkDeadline() error {
 	return nil
 }
 
-// search implements leapfrog_search(μ, j) of Algorithm 1.
+// search implements leapfrog_search(μ, j) of Algorithm 1 for j below
+// len(order); descend ends the recursion at the last variable.
 func (e *evaluator) search(j int) error {
-	if j == len(e.order) {
-		if !e.emit(e.binding) {
-			e.stopped = true
-		}
-		return nil
-	}
-	name := e.order[j]
 	ivs := e.varIters[j]
 
 	// Lonely-variable fast path (Section 4.2): a variable in exactly one
 	// pattern, at one position, whose iterator can enumerate that position.
 	if !e.opt.DisableLonely && len(ivs) == 1 && len(ivs[0].positions) == 1 &&
 		ivs[0].it.CanEnumerate(ivs[0].positions[0]) {
-		iv := ivs[0]
-		pos := iv.positions[0]
 		var rerr error
-		iv.it.Enumerate(pos, func(c graph.ID) bool {
+		ivs[0].it.Enumerate(ivs[0].positions[0], func(c graph.ID) bool {
 			if rerr = e.checkDeadline(); rerr != nil {
 				return false
 			}
 			e.stats.Enumerations++
-			e.stats.Binds++
-			iv.it.Bind(pos, c)
-			e.binding[name] = c
-			rerr = e.search(j + 1)
-			delete(e.binding, name)
-			iv.it.Unbind()
+			rerr = e.descend(j, ivs, c)
 			return rerr == nil && !e.stopped
 		})
 		return rerr
@@ -351,7 +353,7 @@ func (e *evaluator) search(j int) error {
 	// iterator of this join variable exposes its candidates as one
 	// wavelet range, a single multi-range descent replaces the seek loop.
 	if rs, ok := e.batchRuns(j, ivs); ok {
-		return e.searchBatched(j, name, ivs, rs)
+		return e.searchBatched(j, ivs, rs)
 	}
 
 	// General seek loop (the while loop of leapfrog_search).
@@ -367,36 +369,7 @@ func (e *evaluator) search(j int) error {
 		if !ok {
 			return nil
 		}
-		// Bind v in every iterator at every occurrence.
-		bound := 0
-		alive := true
-		for _, iv := range ivs {
-			for _, pos := range iv.positions {
-				e.stats.Binds++
-				iv.it.Bind(pos, v)
-				bound++
-			}
-			if iv.it.Empty() {
-				alive = false
-				break
-			}
-		}
-		if alive {
-			e.binding[name] = v
-			err = e.search(j + 1)
-			delete(e.binding, name)
-		}
-		// Unwind this variable's bindings (also on error paths).
-		for _, iv := range ivs {
-			for range iv.positions {
-				if bound == 0 {
-					break
-				}
-				iv.it.Unbind()
-				bound--
-			}
-		}
-		if err != nil {
+		if err := e.descend(j, ivs, v); err != nil {
 			return err
 		}
 		if e.stopped {
@@ -407,6 +380,50 @@ func (e *evaluator) search(j int) error {
 		}
 		c = v + 1
 	}
+}
+
+// descend is the per-value step every lane and the parallel workers
+// share: record v as order[j]'s value, bind it in every iterator at every
+// occurrence, search the next variable, unwind (also on error paths).
+//
+// The last variable is emitted without Bind, Empty or Unbind. Nothing
+// reads the ranges those binds would narrow, and the emptiness check
+// cannot fail: Leap (Lemma 3.7), Enumerate and IntersectRanges only
+// return values that leave their pattern non-empty, and leapVar has
+// already verified a variable occurring at several positions. ringdebug
+// builds still perform the bind and assert it.
+func (e *evaluator) descend(j int, ivs []iterVar, v graph.ID) error {
+	e.vals[j] = v
+	if j == len(e.order)-1 {
+		if ringdebugEnabled {
+			debugCheckElidedBind(ivs, v)
+		}
+		if !e.emit(e.order, e.vals) {
+			e.stopped = true
+		}
+		return nil
+	}
+	n := 0 // iterators bound so far
+	alive := true
+	for alive && n < len(ivs) {
+		iv := ivs[n]
+		for _, pos := range iv.positions {
+			e.stats.Binds++
+			iv.it.Bind(pos, v)
+		}
+		n++
+		alive = !iv.it.Empty()
+	}
+	var err error
+	if alive {
+		err = e.search(j + 1)
+	}
+	for _, iv := range ivs[:n] {
+		for range iv.positions {
+			iv.it.Unbind()
+		}
+	}
+	return err
 }
 
 // seek implements seek(μ, j, c) of Algorithm 1: the leapfrog intersection.

@@ -33,6 +33,7 @@ package ltj
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -89,7 +90,7 @@ func (e *evaluator) searchParallel(idx Index) error {
 		we := &evaluator{
 			opt:      e.opt,
 			order:    e.order,
-			binding:  graph.Binding{},
+			vals:     make([]graph.ID, len(e.order)),
 			runBufs:  make([][]wavelet.MatrixRange, len(e.order)),
 			deadline: e.deadline,
 			ctx:      ctx,
@@ -107,7 +108,7 @@ func (e *evaluator) searchParallel(idx Index) error {
 	e.ctx = ctx // let the producer's checkDeadline observe cancellation
 
 	tasks := make(chan []graph.ID, 2*nworkers)
-	sols := make(chan graph.Binding, solBuffer)
+	sols := make(chan []graph.ID, solBuffer)
 	errs := make(chan error, nworkers+1)
 
 	go func() {
@@ -122,9 +123,9 @@ func (e *evaluator) searchParallel(idx Index) error {
 	var wg sync.WaitGroup
 	for _, we := range workers {
 		we := we
-		we.emit = func(b graph.Binding) bool {
+		we.emit = func(_ []string, vals []graph.ID) bool {
 			select {
-			case sols <- b.Clone():
+			case sols <- slices.Clone(vals):
 				return true
 			case <-ctx.Done():
 				return false
@@ -150,11 +151,11 @@ func (e *evaluator) searchParallel(idx Index) error {
 	// emit stops the evaluation we keep draining so no worker blocks on
 	// a full channel before observing the cancellation.
 	stopped := false
-	for b := range sols {
+	for vals := range sols {
 		if stopped {
 			continue
 		}
-		if !e.emit(b) {
+		if !e.emit(e.order, vals) {
 			stopped = true
 			cancel()
 		}
@@ -234,8 +235,7 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 	}
 
 	// Batched radix-intersection lane, as in search: the intersection's
-	// emissions are exactly the values the seek loop below would accept
-	// (workers re-verify each candidate with Bind+Empty either way).
+	// emissions are exactly the values the seek loop below would accept.
 	if rs, ok := e.batchRuns(0, ivs); ok {
 		e.stats.BatchDescents++
 		var rerr error
@@ -286,46 +286,17 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 	return nil
 }
 
-// drain is a worker's main loop: for every candidate value of the first
-// variable, run the body of search(0)'s per-value step — bind everywhere,
-// descend to depth 1, unwind — on the worker's forked iterators.
+// drain is a worker's main loop: every candidate value of the first
+// variable takes search(0)'s per-value step — descend — on the worker's
+// forked iterators.
 func (we *evaluator) drain(tasks <-chan []graph.ID) error {
-	name := we.order[0]
 	ivs := we.varIters[0]
 	for batch := range tasks {
 		for _, v := range batch {
 			if err := we.checkDeadline(); err != nil {
 				return err
 			}
-			bound := 0
-			alive := true
-			for _, iv := range ivs {
-				for _, pos := range iv.positions {
-					we.stats.Binds++
-					iv.it.Bind(pos, v)
-					bound++
-				}
-				if iv.it.Empty() {
-					alive = false
-					break
-				}
-			}
-			var err error
-			if alive {
-				we.binding[name] = v
-				err = we.search(1)
-				delete(we.binding, name)
-			}
-			for _, iv := range ivs {
-				for range iv.positions {
-					if bound == 0 {
-						break
-					}
-					iv.it.Unbind()
-					bound--
-				}
-			}
-			if err != nil {
+			if err := we.descend(0, ivs, v); err != nil {
 				return err
 			}
 			if we.stopped {

@@ -1,12 +1,7 @@
 package ring
 
 import (
-	"encoding/json"
-	"fmt"
-	"math"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -17,9 +12,9 @@ import (
 // dense contiguous candidate runs (one shared descent amortizes across
 // thousands of values), sparse high-ID tails (subtree pruning skips the
 // empty space leapfrog has to probe), and backward-direction sweeps (a
-// run of range successors from one pattern). `make bench-batch` records
-// the scalar-vs-batched sweep to BENCH_batch_leap.json via the
-// BENCH_BATCH_JSON hook in TestRecordBatchLeapBench.
+// run of range successors from one pattern). `make bench-smoke` keeps
+// them compiling and running; the lane's recorded numbers are ringbench's
+// (ring.batch_leap_ns_per_value, ltj.batch_*).
 
 // adversarialCase describes one join-enumeration scenario: k patterns
 // anchored at constant subjects, joining on their object variable.
@@ -77,8 +72,7 @@ func adversarialCases() []adversarialCase {
 			subjects: []graph.ID{0, 1},
 		},
 		{
-			// Large ranges, small random overlap — the selectivity shape
-			// the engine's threshold heuristic targets.
+			// Large ranges, small random overlap.
 			name: "selective-k2",
 			build: func() *graph.Graph {
 				rng := rand.New(rand.NewSource(92))
@@ -185,84 +179,4 @@ func BenchmarkBatchLeapSweep(b *testing.B) {
 			sinkInt = s
 		})
 	}
-}
-
-// TestRecordBatchLeapBench measures batched-vs-scalar enumeration on the
-// adversarial cases plus the k=1 sweep and writes BENCH_batch_leap.json
-// (geomean speedup and per-case rows). Gated on the BENCH_BATCH_JSON env
-// var; see `make bench-batch`.
-func TestRecordBatchLeapBench(t *testing.T) {
-	path := os.Getenv("BENCH_BATCH_JSON")
-	if path == "" {
-		t.Skip("set BENCH_BATCH_JSON to record the batched-leap sweep")
-	}
-	type row struct {
-		Case     string  `json:"case"`
-		K        int     `json:"k"`
-		Values   int     `json:"values"`
-		ScalarNs float64 `json:"scalar_ns_per_op"`
-		BatchNs  float64 `json:"batched_ns_per_op"`
-		Speedup  float64 `json:"speedup"`
-	}
-	var rows []row
-	for _, tc := range adversarialCases() {
-		g := tc.build()
-		r := New(g, Options{})
-		states, positions := joinStates(r, tc.subjects)
-		values := len(leapfrogJoin(states, positions))
-		scalar := testing.Benchmark(func(b *testing.B) {
-			s := 0
-			for i := 0; i < b.N; i++ {
-				st, ps := joinStates(r, tc.subjects)
-				s += len(leapfrogJoin(st, ps))
-			}
-			sinkInt = s
-		})
-		batched := testing.Benchmark(func(b *testing.B) {
-			s := 0
-			for i := 0; i < b.N; i++ {
-				st, ps := joinStates(r, tc.subjects)
-				EnumerateJoin(st, ps, func(graph.ID) bool {
-					s++
-					return true
-				})
-			}
-			sinkInt = s
-		})
-		sc := float64(scalar.NsPerOp())
-		ba := float64(batched.NsPerOp())
-		rows = append(rows, row{
-			Case: tc.name, K: len(tc.subjects), Values: values,
-			ScalarNs: sc, BatchNs: ba, Speedup: math.Round(sc/ba*100) / 100,
-		})
-		t.Logf("%-16s k=%d values=%-6d scalar=%.0fns batched=%.0fns speedup=%.2fx",
-			tc.name, len(tc.subjects), values, sc, ba, sc/ba)
-	}
-	logSpeedup := 0.0
-	for _, r := range rows {
-		logSpeedup += math.Log(r.Speedup)
-	}
-	geomean := math.Exp(logSpeedup / float64(len(rows)))
-	t.Logf("geomean speedup: %.2fx", geomean)
-	out := struct {
-		Workload string  `json:"workload"`
-		NumCPU   int     `json:"num_cpu"`
-		Geomean  float64 `json:"geomean_speedup"`
-		Note     string  `json:"note"`
-		Rows     []row   `json:"results"`
-	}{
-		Workload: "multi-pattern object-variable enumeration, plain ring, constant-subject stars",
-		NumCPU:   runtime.NumCPU(),
-		Geomean:  math.Round(geomean*100) / 100,
-		Note:     "scalar = round-robin leapfrog over PatternState.Leap; batched = ring.EnumerateJoin (one wavelet.IntersectRanges descent carrying all ranges)",
-		Rows:     rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (geomean %.2fx)\n", path, geomean)
 }

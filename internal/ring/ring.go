@@ -31,10 +31,11 @@
 package ring
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bits"
@@ -129,15 +130,14 @@ func New(g *graph.Graph, opt Options) *Ring {
 		defer wg.Done()
 		pos := make([]graph.Triple, n)
 		copy(pos, ts)
-		sort.Slice(pos, func(i, j int) bool {
-			a, b := pos[i], pos[j]
-			if a.P != b.P {
-				return a.P < b.P
+		slices.SortFunc(pos, func(a, b graph.Triple) int {
+			if c := cmp.Compare(a.P, b.P); c != 0 {
+				return c
 			}
-			if a.O != b.O {
-				return a.O < b.O
+			if c := cmp.Compare(a.O, b.O); c != 0 {
+				return c
 			}
-			return a.S < b.S
+			return cmp.Compare(a.S, b.S)
 		})
 		col := make([]uint64, n)
 		for i, t := range pos {
@@ -152,15 +152,14 @@ func New(g *graph.Graph, opt Options) *Ring {
 		defer wg.Done()
 		osp := make([]graph.Triple, n)
 		copy(osp, ts)
-		sort.Slice(osp, func(i, j int) bool {
-			a, b := osp[i], osp[j]
-			if a.O != b.O {
-				return a.O < b.O
+		slices.SortFunc(osp, func(a, b graph.Triple) int {
+			if c := cmp.Compare(a.O, b.O); c != 0 {
+				return c
 			}
-			if a.S != b.S {
-				return a.S < b.S
+			if c := cmp.Compare(a.S, b.S); c != 0 {
+				return c
 			}
-			return a.P < b.P
+			return cmp.Compare(a.P, b.P)
 		})
 		col := make([]uint64, n)
 		for i, t := range osp {
