@@ -168,25 +168,52 @@ func (d *Dictionary) DecodeP(id graph.ID) (string, bool) {
 	return d.p[id], true
 }
 
+// Decode returns the string of an identifier: in the predicate space when
+// pred is set, in the subject/object space otherwise.
+func (d *Dictionary) Decode(id graph.ID, pred bool) (string, bool) {
+	if pred {
+		return d.DecodeP(id)
+	}
+	return d.DecodeSO(id)
+}
+
+// term is Decode for display: an identifier the dictionary does not hold
+// renders as "#<id>".
+func (d *Dictionary) term(id graph.ID, pred bool) string {
+	if s, ok := d.Decode(id, pred); ok {
+		return s
+	}
+	return "#" + strconv.FormatUint(uint64(id), 10)
+}
+
 // DecodeBinding renders a solution with its positions' spaces: predicate
 // variables are those listed in predVars; everything else decodes in the
 // subject/object space.
 func (d *Dictionary) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
 	out := make(map[string]string, len(b))
 	for k, v := range b {
-		var s string
-		var ok bool
-		if predVars[k] {
-			s, ok = d.DecodeP(v)
-		} else {
-			s, ok = d.DecodeSO(v)
-		}
-		if !ok {
-			s = fmt.Sprintf("#%d", v)
-		}
-		out[k] = s
+		out[k] = d.term(v, predVars[k])
 	}
 	return out
+}
+
+// DecodeRow is DecodeBinding for a solution in slot form: vars[i] is
+// bound to row[i].
+func (d *Dictionary) DecodeRow(vars []string, row []graph.ID, predVars map[string]bool) map[string]string {
+	out := make(map[string]string, len(vars))
+	for i, k := range vars {
+		out[k] = d.term(row[i], predVars[k])
+	}
+	return out
+}
+
+// Snapshot returns a decode-only view of the dictionary as it is now. A
+// dictionary only ever appends, so the terms below the lengths captured
+// here are never written again: the view can be read while AddSO/AddP run
+// on d, with no synchronization beyond what the Snapshot call itself
+// needed. The view shares d's storage and must not be added to.
+func (d *Dictionary) Snapshot() *Dictionary {
+	return &Dictionary{so: d.so, p: d.p}
 }
 
 // ParseTSV reads whitespace/tab-separated "s p o" lines (comments start

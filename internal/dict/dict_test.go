@@ -2,6 +2,8 @@ package dict
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,5 +186,32 @@ func TestEmptyDictionary(t *testing.T) {
 	}
 	if _, err := Read(&buf); err != nil {
 		t.Fatalf("round-trip of empty dictionary: %v", err)
+	}
+}
+
+func TestDecodeRowAndSnapshot(t *testing.T) {
+	d, _ := Build(sample)
+	x, _ := d.EncodeSO("nobel")
+	p, _ := d.EncodeP("win")
+	vars, row, predVars := []string{"x", "pr", "x"}, []graph.ID{x, p, x}, map[string]bool{"pr": true}
+	want := d.DecodeBinding(graph.Binding{"x": x, "pr": p}, predVars)
+	if got := d.DecodeRow(vars, row, predVars); !reflect.DeepEqual(got, want) {
+		t.Errorf("DecodeRow = %v, want DecodeBinding's %v", got, want)
+	}
+	if got := d.term(d.NumSO(), false); got != fmt.Sprintf("#%d", d.NumSO()) {
+		t.Errorf("term of an unknown id = %q", got)
+	}
+
+	// A snapshot keeps decoding what it held while the dictionary grows.
+	snap := d.Snapshot()
+	added := d.AddSO("zz-added-later")
+	if got := snap.DecodeRow(vars, row, predVars); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot DecodeRow = %v, want %v", got, want)
+	}
+	if _, ok := snap.DecodeSO(added); ok {
+		t.Error("snapshot sees a term added after it was taken")
+	}
+	if s, ok := d.DecodeSO(added); !ok || s != "zz-added-later" {
+		t.Errorf("dictionary lost the added term: %q, %v", s, ok)
 	}
 }

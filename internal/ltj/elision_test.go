@@ -142,7 +142,7 @@ func TestLastVariableBindElision(t *testing.T) {
 		{"emit returns false", func(t *testing.T, idx ltj.Index, q graph.Pattern, order []string) ltj.EvalStats {
 			var stats ltj.EvalStats
 			n := 0
-			if err := ltj.StreamStats(idx, q, ltj.Options{Order: order}, &stats, func(graph.Binding) bool {
+			if err := ltj.StreamSlots(idx, q, ltj.Options{Order: order}, &stats, func([]string, []graph.ID) bool {
 				n++
 				return n < 5
 			}); err != nil {
@@ -155,7 +155,7 @@ func TestLastVariableBindElision(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			n := 0
-			_ = ltj.StreamStats(idx, q, ltj.Options{Order: order, Context: ctx}, &stats, func(graph.Binding) bool {
+			_ = ltj.StreamSlots(idx, q, ltj.Options{Order: order, Context: ctx}, &stats, func([]string, []graph.ID) bool {
 				if n++; n == 5 {
 					cancel()
 				}

@@ -143,11 +143,12 @@ type EvalStats struct {
 }
 
 // Evaluate runs LTJ for the basic graph pattern q over the index and
-// collects solutions. See Stream for the streaming variant.
+// collects solutions. See Stream and StreamSlots for the streaming
+// variants.
 func Evaluate(idx Index, q graph.Pattern, opt Options) (*Result, error) {
 	res := &Result{}
 	start := time.Now()
-	err := run(idx, q, opt, &res.Stats, func(order []string, vals []graph.ID) bool {
+	err := StreamSlots(idx, q, opt, &res.Stats, func(order []string, vals []graph.ID) bool {
 		b := make(graph.Binding, len(order))
 		for j, name := range order {
 			b[name] = vals[j]
@@ -168,13 +169,8 @@ func Evaluate(idx Index, q graph.Pattern, opt Options) (*Result, error) {
 // evaluation. Stream returns ErrTimeout if the deadline was exceeded.
 func Stream(idx Index, q graph.Pattern, opt Options, emit func(graph.Binding) bool) error {
 	var st EvalStats
-	return StreamStats(idx, q, opt, &st, emit)
-}
-
-// StreamStats is Stream with operation counting into stats.
-func StreamStats(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit func(graph.Binding) bool) error {
 	b := graph.Binding{}
-	return run(idx, q, opt, stats, func(order []string, vals []graph.ID) bool {
+	return StreamSlots(idx, q, opt, &st, func(order []string, vals []graph.ID) bool {
 		for j, name := range order {
 			b[name] = vals[j]
 		}
@@ -182,11 +178,16 @@ func StreamStats(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit
 	})
 }
 
-// run is the engine behind Evaluate and Stream. A solution reaches emit
-// as the slots the search keeps — vals[j] is the value of order[j], both
-// reused across calls — and the two callers above are the only places
-// that turn slots into a graph.Binding.
-func run(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit func(order []string, vals []graph.ID) bool) error {
+// StreamSlots is the engine behind Evaluate and Stream, and the form
+// callers that never need a map consume directly. A solution reaches emit
+// as the slots the search keeps: vals[j] is the value of order[j], the
+// variable elimination order. Both slices are reused across calls (order
+// never changes within one evaluation; an all-ground satisfied query emits
+// once with neither), so emit must copy what it retains. emit is never
+// called concurrently, and returning false stops the evaluation.
+// Operations are counted into stats, Options.Limit is the caller's to
+// apply, and ErrTimeout is returned if the deadline was exceeded.
+func StreamSlots(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit func(order []string, vals []graph.ID) bool) error {
 	if len(q) == 0 {
 		return nil
 	}

@@ -768,6 +768,16 @@ func (db *DB) DecodeBinding(b graph.Binding, predVars map[string]bool) map[strin
 	return db.d.DecodeBinding(b, predVars)
 }
 
+// DictSnapshot returns a decode-only view of the dictionary
+// (dict.Dictionary.Snapshot), taken under one read lock. Terms are added
+// before the triples that use them, so the view holds every identifier a
+// result read from an earlier Snapshot of the store can contain.
+func (db *DB) DictSnapshot() *dict.Dictionary {
+	db.dictMu.RLock()
+	defer db.dictMu.RUnlock()
+	return db.d.Snapshot()
+}
+
 // CheckpointError returns the last background checkpoint failure, if
 // any. Writes keep succeeding after one (durability is the WAL's job);
 // operators should still alarm on it.

@@ -1,11 +1,11 @@
 package query
 
-// Canonicalization: deterministic byte-string keys for solutions and for
-// whole queries. One helper serves both consumers — the DISTINCT dedup in
-// Select.Run and the result-cache keys of the serving layer — so the two
-// can never drift apart.
+// Canonicalization: deterministic byte-string keys for solutions (GROUP BY
+// groups, DISTINCT rows) and for whole queries (the result-cache keys of
+// the serving layer).
 
 import (
+	"encoding/binary"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,6 +23,15 @@ func BindingKey(b graph.Binding, vars []string) string {
 		key = append(key, byte(x), byte(x>>8), byte(x>>16), byte(x>>24), ';')
 	}
 	return string(key)
+}
+
+// appendRowKey appends the DISTINCT key of one projected row: its values,
+// fixed-width little-endian.
+func appendRowKey(key []byte, row []graph.ID) []byte {
+	for _, x := range row {
+		key = binary.LittleEndian.AppendUint32(key, x)
+	}
+	return key
 }
 
 // CacheKey returns a canonical key identifying the query's result set, for

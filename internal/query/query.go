@@ -7,9 +7,11 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -79,51 +81,110 @@ type Select struct {
 	Stats *ltj.EvalStats
 }
 
-// Run evaluates the query over the index.
+// Rows is a result set in the engine's slot form: N solutions over the
+// columns Vars, solution i being IDs[i*len(Vars) : (i+1)*len(Vars)]. N is
+// explicit because a query can have solutions and no columns (an
+// all-ground pattern that holds, or an empty projection). Vars keeps the
+// projection list as given, duplicates included.
+type Rows struct {
+	Vars []string
+	IDs  []graph.ID
+	N    int
+}
+
+// Row returns solution i; the slice aliases IDs.
+func (r Rows) Row(i int) []graph.ID {
+	k := len(r.Vars)
+	return r.IDs[i*k : (i+1)*k]
+}
+
+// Rows evaluates the query over the index.
 //
-// Filters, projection, DISTINCT and (when no ORDER BY is present) LIMIT
-// are applied streamingly during the join, so a limited query stops as
-// soon as enough solutions are found. ORDER BY forces full
-// materialisation first.
-func (s Select) Run(idx ltj.Index) ([]graph.Binding, error) {
+// Filters, projection, DISTINCT and (when no ORDER BY is present) OFFSET
+// and LIMIT are applied streamingly during the join: the first Offset
+// solutions are counted but not kept, and the join stops as soon as the
+// window is full. ORDER BY forces full materialisation first. When the
+// evaluation times out the rows kept so far are returned with the error,
+// unsorted and unwindowed if an ORDER BY was pending.
+func (s Select) Rows(idx ltj.Index) (Rows, error) {
 	project, err := s.check()
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
-	var out []graph.Binding
-	err = s.forEach(idx, project, func(proj graph.Binding) bool {
-		out = append(out, proj)
+	rows := Rows{Vars: project}
+	skip := 0
+	if len(s.OrderBy) == 0 {
+		skip = s.Offset
+	}
+	err = s.forEach(idx, project, func(row []graph.ID) bool {
+		if skip > 0 {
+			skip--
+			return true
+		}
+		rows.IDs = append(rows.IDs, row...)
+		rows.N++
 		return true
 	})
-	if err != nil {
-		return out, err
+	if err == nil && len(s.OrderBy) > 0 {
+		rows.orderAndCut(s.OrderBy, s.Offset, s.Limit)
 	}
+	return rows, err
+}
 
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(out, func(i, j int) bool {
-			for _, v := range s.OrderBy {
-				if out[i][v] != out[j][v] {
-					return out[i][v] < out[j][v]
+// orderAndCut sorts the rows by the given columns (stable, ascending;
+// variables outside the projection cannot influence the order) and keeps
+// the [offset, offset+limit) window.
+func (r *Rows) orderAndCut(orderBy []string, offset, limit int) {
+	var cols []int
+	for _, v := range orderBy {
+		if c := slices.Index(r.Vars, v); c >= 0 {
+			cols = append(cols, c)
+		}
+	}
+	perm := make([]int, r.N)
+	for i := range perm {
+		perm[i] = i
+	}
+	if len(cols) > 0 {
+		slices.SortStableFunc(perm, func(a, b int) int {
+			ra, rb := r.Row(a), r.Row(b)
+			for _, c := range cols {
+				if ra[c] != rb[c] {
+					return cmp.Compare(ra[c], rb[c])
 				}
 			}
-			return false
+			return 0
 		})
 	}
-	if s.Offset > 0 {
-		if s.Offset >= len(out) {
-			return nil, nil
+	perm = perm[min(offset, len(perm)):]
+	if limit > 0 && len(perm) > limit {
+		perm = perm[:limit]
+	}
+	ids := make([]graph.ID, 0, len(perm)*len(r.Vars))
+	for _, i := range perm {
+		ids = append(ids, r.Row(i)...)
+	}
+	r.IDs, r.N = ids, len(perm)
+}
+
+// Run evaluates the query like Rows and returns one Binding per solution.
+func (s Select) Run(idx ltj.Index) ([]graph.Binding, error) {
+	rows, err := s.Rows(idx)
+	out := slices.Grow([]graph.Binding(nil), rows.N) // nil when there are none
+	for i := 0; i < rows.N; i++ {
+		row := rows.Row(i)
+		b := make(graph.Binding, len(row))
+		for j, v := range rows.Vars {
+			b[v] = row[j]
 		}
-		out = out[s.Offset:]
+		out = append(out, b)
 	}
-	if s.Limit > 0 && len(out) > s.Limit {
-		out = out[:s.Limit]
-	}
-	return out, nil
+	return out, err
 }
 
 // Count evaluates the query and returns only the number of solutions
 // (respecting filters, DISTINCT, OFFSET and LIMIT; ordering cannot change
-// the count and is ignored). It shares Run's streaming core but never
+// the count and is ignored). It shares Rows's streaming core but never
 // materialises the solutions.
 func (s Select) Count(idx ltj.Index) (int, error) {
 	s.OrderBy = nil
@@ -132,23 +193,16 @@ func (s Select) Count(idx ltj.Index) (int, error) {
 		return 0, err
 	}
 	n := 0
-	err = s.forEach(idx, project, func(graph.Binding) bool {
+	err = s.forEach(idx, project, func([]graph.ID) bool {
 		n++
 		return true
 	})
 	if err != nil {
 		return 0, err
 	}
-	if s.Offset > 0 {
-		if s.Offset >= n {
-			return 0, nil
-		}
-		n -= s.Offset
-	}
-	if s.Limit > 0 && n > s.Limit {
-		n = s.Limit
-	}
-	return n, nil
+	// forEach stopped at Offset+Limit, so what is left after the offset is
+	// within the limit already.
+	return max(n-s.Offset, 0), nil
 }
 
 // check validates the clause variables and resolves the effective
@@ -179,44 +233,66 @@ func (s Select) check() ([]string, error) {
 	return project, nil
 }
 
-// forEach is the streaming core shared by Run and Count: it evaluates the
-// join and yields every projected solution that survives the filters and
-// DISTINCT, stopping early once Offset+Limit solutions have been produced
-// (when no ORDER BY forces full materialisation). yield owns the solution
-// it receives.
-func (s Select) forEach(idx ltj.Index, project []string, yield func(graph.Binding) bool) error {
-	streamingLimit := 0
+// forEach is the streaming core under Rows, Run and Count: it evaluates
+// the join on the engine's slots and yields the projection of every
+// solution that survives the filters and DISTINCT, stopping once
+// Offset+Limit solutions have been yielded (when no ORDER BY needs them
+// all). The row passed to yield is reused; yield copies what it keeps.
+func (s Select) forEach(idx ltj.Index, project []string, yield func(row []graph.ID) bool) error {
+	stop := 0 // yields after which the join stops; 0 = never
 	if len(s.OrderBy) == 0 && s.Limit > 0 {
-		streamingLimit = s.Offset + s.Limit
+		stop = math.MaxInt // a window the sum cannot express never fills
+		if s.Limit <= math.MaxInt-s.Offset {
+			stop = s.Offset + s.Limit
+		}
 	}
 	stats := s.Stats
 	if stats == nil {
 		stats = &ltj.EvalStats{}
 	}
 	opt := ltj.Options{Timeout: s.Timeout, Context: s.Context, Parallelism: s.Parallelism}
+	var (
+		slots  []int // slots[i] is project[i]'s place in the engine's order
+		row    = make([]graph.ID, len(project))
+		filter graph.Binding // the one Binding the filters read, if any exist
+		seen   map[string]struct{}
+		key    []byte
+	)
+	if len(s.Filters) > 0 {
+		filter = graph.Binding{}
+	}
+	if s.Distinct {
+		seen = map[string]struct{}{}
+	}
 	n := 0
-	seen := map[string]bool{}
-	return ltj.StreamStats(idx, s.Pattern, opt, stats, func(b graph.Binding) bool {
-		for _, f := range s.Filters {
-			if !f(b) {
-				return true
+	return ltj.StreamSlots(idx, s.Pattern, opt, stats, func(order []string, vals []graph.ID) bool {
+		if slots == nil {
+			slots = make([]int, len(project))
+			for i, v := range project {
+				slots[i] = slices.Index(order, v)
 			}
 		}
-		proj := make(graph.Binding, len(project))
-		for _, v := range project {
-			proj[v] = b[v]
+		if filter != nil {
+			for j, name := range order {
+				filter[name] = vals[j]
+			}
+			for _, f := range s.Filters {
+				if !f(filter) {
+					return true
+				}
+			}
 		}
-		if s.Distinct {
-			key := BindingKey(proj, project)
-			if seen[key] {
+		for i, j := range slots {
+			row[i] = vals[j]
+		}
+		if seen != nil {
+			key = appendRowKey(key[:0], row)
+			if _, dup := seen[string(key)]; dup {
 				return true
 			}
-			seen[key] = true
+			seen[string(key)] = struct{}{}
 		}
 		n++
-		if !yield(proj) {
-			return false
-		}
-		return streamingLimit <= 0 || n < streamingLimit
+		return yield(row) && (stop == 0 || n < stop)
 	})
 }

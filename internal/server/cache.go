@@ -5,13 +5,15 @@ import (
 	"sync"
 )
 
-// resultCache is a size-bounded LRU over decoded query results, keyed on
-// the canonical query form (query.Select.CacheKey, so syntactic variants
-// of the same BGP share an entry). Bounded twice: by entry count and by an
-// approximate byte footprint, whichever trips first. The ring is immutable
-// once loaded, so entries never go stale by themselves; invalidate is the
-// hook a future dynamic store (or an index reload) calls to drop the
-// generation wholesale.
+// resultCache is a size-bounded LRU over encoded query results — the
+// solutions array exactly as it goes on the wire, so a hit is a copy into
+// the response — keyed on the canonical query form
+// (query.Select.CacheKey, so syntactic variants of the same BGP share an
+// entry). Bounded twice: by entry count and by the bytes held
+// (len(key)+len(solutions) per entry), whichever trips first. The ring
+// is immutable once loaded, so entries never go stale by themselves;
+// invalidate drops the generation wholesale on an index reload, and live
+// mode keys entries by store generation instead.
 type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int                      // immutable after construction
@@ -24,10 +26,12 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	sols []map[string]string
-	size int64
+	key   string
+	sols  []byte // the encoded solutions array
+	count int    // how many solutions it holds
 }
+
+func (e *cacheEntry) size() int64 { return int64(len(e.key) + len(e.sols)) }
 
 // cacheStats is a point-in-time snapshot of the cache counters.
 type cacheStats struct {
@@ -48,41 +52,41 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 	}
 }
 
-// get returns the cached solutions and marks the entry most-recently-used.
-// Callers must treat the returned slice as immutable — it is shared with
-// every other hit for the same key.
-func (c *resultCache) get(key string) ([]map[string]string, bool) {
+// get returns the cached solutions array with its solution count and
+// marks the entry most-recently-used. Callers must treat the returned
+// slice as immutable — it is shared with every other hit for the same key.
+func (c *resultCache) get(key string) (sols []byte, count int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	elem, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, 0, false
 	}
 	c.hits++
 	c.ll.MoveToFront(elem)
-	return elem.Value.(*cacheEntry).sols, true
+	entry := elem.Value.(*cacheEntry)
+	return entry.sols, entry.count, true
 }
 
-// put inserts (or refreshes) an entry and evicts from the LRU tail until
-// both bounds hold again. Entries bigger than the byte bound are not
-// cached at all.
-func (c *resultCache) put(key string, sols []map[string]string) {
-	size := entrySize(key, sols)
-	if c.maxBytes > 0 && size > c.maxBytes {
+// put inserts (or refreshes) an entry, taking ownership of sols, and
+// evicts from the LRU tail until both bounds hold again. Entries bigger
+// than the byte bound are not cached at all.
+func (c *resultCache) put(key string, sols []byte, count int) {
+	entry := &cacheEntry{key: key, sols: sols, count: count}
+	if c.maxBytes > 0 && entry.size() > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if elem, ok := c.items[key]; ok {
-		old := elem.Value.(*cacheEntry)
-		c.bytes += size - old.size
-		old.sols, old.size = sols, size
+		c.bytes -= elem.Value.(*cacheEntry).size()
+		elem.Value = entry
 		c.ll.MoveToFront(elem)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, sols: sols, size: size})
-		c.bytes += size
+		c.items[key] = c.ll.PushFront(entry)
 	}
+	c.bytes += entry.size()
 	for c.ll.Len() > 0 &&
 		((c.maxEntries > 0 && c.ll.Len() > c.maxEntries) ||
 			(c.maxBytes > 0 && c.bytes > c.maxBytes)) {
@@ -90,7 +94,7 @@ func (c *resultCache) put(key string, sols []map[string]string) {
 		entry := tail.Value.(*cacheEntry)
 		c.ll.Remove(tail)
 		delete(c.items, entry.key)
-		c.bytes -= entry.size
+		c.bytes -= entry.size()
 		c.evictions++
 	}
 }
@@ -113,18 +117,4 @@ func (c *resultCache) stats() cacheStats {
 		Evictions: c.evictions, Invalidations: c.invalidations,
 		Entries: c.ll.Len(), Bytes: c.bytes,
 	}
-}
-
-// entrySize approximates the resident footprint of one entry: string
-// bytes plus per-map and per-header overheads. It only needs to be
-// consistent, not exact — the bound is a sizing knob, not an accountant.
-func entrySize(key string, sols []map[string]string) int64 {
-	size := int64(len(key)) + 64
-	for _, sol := range sols {
-		size += 48
-		for k, v := range sol {
-			size += int64(len(k)) + int64(len(v)) + 32
-		}
-	}
-	return size
 }

@@ -7,23 +7,15 @@ import (
 	"testing"
 )
 
-func sol(pairs ...string) map[string]string {
-	m := map[string]string{}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		m[pairs[i]] = pairs[i+1]
-	}
-	return m
-}
-
 func TestCacheHitMiss(t *testing.T) {
 	c := newResultCache(4, 1<<20)
-	if _, ok := c.get("q1"); ok {
+	if _, _, ok := c.get("q1"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.put("q1", []map[string]string{sol("x", "alice")})
-	got, ok := c.get("q1")
-	if !ok || len(got) != 1 || got[0]["x"] != "alice" {
-		t.Fatalf("get = %v, %v", got, ok)
+	c.put("q1", []byte(`[{"x":"alice"}]`), 1)
+	got, count, ok := c.get("q1")
+	if !ok || count != 1 || string(got) != `[{"x":"alice"}]` {
+		t.Fatalf("get = %s, %d, %v", got, count, ok)
 	}
 	st := c.stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -33,19 +25,19 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2, 1<<20)
-	c.put("a", nil)
-	c.put("b", nil)
-	if _, ok := c.get("a"); !ok { // touch a: b becomes LRU
+	c.put("a", []byte("[]"), 0)
+	c.put("b", []byte("[]"), 0)
+	if _, _, ok := c.get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", nil) // evicts b
-	if _, ok := c.get("b"); ok {
+	c.put("c", []byte("[]"), 0) // evicts b
+	if _, _, ok := c.get("b"); ok {
 		t.Fatal("b survived eviction; LRU order wrong")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, _, ok := c.get("a"); !ok {
 		t.Fatal("a evicted despite recent use")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, _, ok := c.get("c"); !ok {
 		t.Fatal("c missing")
 	}
 	if st := c.stats(); st.Evictions != 1 || st.Entries != 2 {
@@ -54,27 +46,27 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheByteBound(t *testing.T) {
-	// Empty-result entries cost len(key)+64 bytes; three fit only two at a
-	// time under a 140-byte bound.
-	c := newResultCache(0, 140)
-	c.put("a", nil)
-	c.put("b", nil)
-	c.put("c", nil)
+	// The bound is exact: an entry costs len(key)+len(solutions), here
+	// 1+2 bytes, so an 8-byte bound holds two entries and not three.
+	c := newResultCache(0, 8)
+	c.put("a", []byte("[]"), 0)
+	c.put("b", []byte("[]"), 0)
+	if st := c.stats(); st.Entries != 2 || st.Bytes != 6 {
+		t.Fatalf("stats = %+v, want 2 entries / 6 bytes", st)
+	}
+	c.put("c", []byte("[]"), 0)
 	st := c.stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 entries / 1 eviction", st)
+	if st.Entries != 2 || st.Evictions != 1 || st.Bytes != 6 {
+		t.Fatalf("stats = %+v, want 2 entries / 1 eviction / 6 bytes", st)
 	}
-	if st.Bytes > 140 {
-		t.Fatalf("bytes = %d, exceeds bound", st.Bytes)
-	}
-	if _, ok := c.get("a"); ok {
+	if _, _, ok := c.get("a"); ok {
 		t.Fatal("oldest entry should have been evicted")
 	}
 }
 
 func TestCacheOversizeEntrySkipped(t *testing.T) {
 	c := newResultCache(4, 100)
-	c.put("big", []map[string]string{sol("x", strings.Repeat("v", 200))})
+	c.put("big", []byte(`[{"x":"`+strings.Repeat("v", 200)+`"}]`), 1)
 	if st := c.stats(); st.Entries != 0 {
 		t.Fatalf("oversize entry was cached: %+v", st)
 	}
@@ -82,31 +74,32 @@ func TestCacheOversizeEntrySkipped(t *testing.T) {
 
 func TestCacheRefreshInPlace(t *testing.T) {
 	c := newResultCache(4, 1<<20)
-	c.put("q", []map[string]string{sol("x", "old")})
-	c.put("q", []map[string]string{sol("x", "new"), sol("x", "er")})
-	got, ok := c.get("q")
-	if !ok || len(got) != 2 || got[0]["x"] != "new" {
-		t.Fatalf("refresh lost: %v %v", got, ok)
+	c.put("q", []byte(`[{"x":"old"}]`), 1)
+	fresh := `[{"x":"new"},{"x":"er"}]`
+	c.put("q", []byte(fresh), 2)
+	got, count, ok := c.get("q")
+	if !ok || count != 2 || string(got) != fresh {
+		t.Fatalf("refresh lost: %s %d %v", got, count, ok)
 	}
 	st := c.stats()
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1 after refresh", st.Entries)
 	}
-	if want := entrySize("q", got); st.Bytes != want {
+	if want := int64(len("q") + len(fresh)); st.Bytes != want {
 		t.Fatalf("bytes = %d, want re-accounted %d", st.Bytes, want)
 	}
 }
 
 func TestCacheInvalidate(t *testing.T) {
 	c := newResultCache(4, 1<<20)
-	c.put("a", nil)
-	c.put("b", nil)
+	c.put("a", []byte("[]"), 0)
+	c.put("b", []byte("[]"), 0)
 	c.invalidate()
 	st := c.stats()
 	if st.Entries != 0 || st.Bytes != 0 || st.Invalidations != 1 {
 		t.Fatalf("stats after invalidate = %+v", st)
 	}
-	if _, ok := c.get("a"); ok {
+	if _, _, ok := c.get("a"); ok {
 		t.Fatal("entry survived invalidation")
 	}
 }
@@ -121,8 +114,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("q%d", (g+i)%16)
-				if _, ok := c.get(key); !ok {
-					c.put(key, []map[string]string{sol("x", key)})
+				if _, _, ok := c.get(key); !ok {
+					c.put(key, []byte(key), 1)
 				}
 			}
 		}()

@@ -25,11 +25,13 @@ import (
 
 // index is what the query path needs from either mode: pattern
 // compilation against the (possibly growing) dictionary, a pinned
-// iterator source for one evaluation, result decoding, and a cache-key
-// prefix that changes whenever results could.
+// iterator source for one evaluation, the dictionary to encode results
+// through, and a cache-key prefix that changes whenever results could.
 type index interface {
 	Compile(q []wcoring.PatternString) (graph.Pattern, map[string]bool, bool, error)
-	DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string
+	// Dictionary returns a dictionary safe to decode one response through
+	// without locks; call it after the evaluation whose results it decodes.
+	Dictionary() *wcoring.Dictionary
 	// PatternIters pins a consistent view and returns the per-pattern
 	// iterator factory over it; all iterators of one evaluation must come
 	// from one call.
@@ -48,9 +50,7 @@ func (x staticIndex) Compile(q []wcoring.PatternString) (graph.Pattern, map[stri
 	return x.st.Compile(q)
 }
 
-func (x staticIndex) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
-	return x.st.Dictionary().DecodeBinding(b, predVars)
-}
+func (x staticIndex) Dictionary() *wcoring.Dictionary { return x.st.Dictionary() }
 
 func (x staticIndex) PatternIters() func(tp graph.TriplePattern) ltj.PatternIter {
 	rg := x.st.Ring()
@@ -66,9 +66,7 @@ func (x liveIndex) Compile(q []wcoring.PatternString) (graph.Pattern, map[string
 	return x.db.Compile(q)
 }
 
-func (x liveIndex) DecodeBinding(b graph.Binding, predVars map[string]bool) map[string]string {
-	return x.db.DecodeBinding(b, predVars)
-}
+func (x liveIndex) Dictionary() *wcoring.Dictionary { return x.db.DictSnapshot() }
 
 func (x liveIndex) PatternIters() func(tp graph.TriplePattern) ltj.PatternIter {
 	snap := x.db.Snapshot()

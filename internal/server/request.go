@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	wcoring "repro"
-	"repro/internal/ltj"
 )
 
 // PatternJSON is one triple pattern of a query request; components
@@ -46,7 +46,9 @@ type QueryRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// QueryResponse is the body of a successful /query response.
+// QueryResponse is the body of a successful /query response, for clients
+// to decode into. The server does not marshal it: encode.go writes the
+// same fields in the same order by hand.
 type QueryResponse struct {
 	Solutions []map[string]string `json:"solutions"`
 	Count     int                 `json:"count"`
@@ -71,13 +73,6 @@ type StatsJSON struct {
 	// lane's work (DESIGN.md §13); zero when the lane never engaged.
 	BatchDescents int `json:"batch_descents,omitempty"`
 	BatchEmits    int `json:"batch_emits,omitempty"`
-}
-
-func statsJSON(st ltj.EvalStats) *StatsJSON {
-	return &StatsJSON{
-		Leaps: st.Leaps, Binds: st.Binds, Seeks: st.Seeks, Enumerations: st.Enumerations,
-		BatchDescents: st.BatchDescents, BatchEmits: st.BatchEmits,
-	}
 }
 
 // errorResponse is the body of every non-2xx response.
@@ -187,7 +182,11 @@ func (req *QueryRequest) patternStrings() []wcoring.PatternString {
 func effectiveTimeout(reqMS int, def, max time.Duration) time.Duration {
 	d := def
 	if reqMS > 0 {
-		d = time.Duration(reqMS) * time.Millisecond
+		// Clamp before converting: a timeout_ms beyond ~9.2e12 overflows
+		// time.Duration into a negative value, which the engine reads as
+		// "no deadline".
+		const maxMS = math.MaxInt64 / int64(time.Millisecond)
+		d = time.Duration(min(int64(reqMS), maxMS)) * time.Millisecond
 	}
 	if max > 0 && d > max {
 		d = max

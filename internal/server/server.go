@@ -15,10 +15,10 @@
 //	                             ▼
 //	                   admission.acquire (bounded queue; shed 429/503)
 //	                             ▼
-//	                   query.Select.Run (ltj over the shared ring,
-//	                             │        ctx-cancellable, deadline-bounded)
+//	                   query.Select.Rows (ltj over the shared ring,
+//	                             │         ctx-cancellable, deadline-bounded)
 //	                             ▼
-//	                   decode → cache fill → respond
+//	                   encode → cache fill (bytes) → write
 //
 // The ring's query structures are immutable after load, so queries share
 // the index without locks; all mutable state (cache, counters, admission)
@@ -26,6 +26,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -517,7 +518,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !feasible {
 		// A constant is absent from the dictionary: provably no solutions.
 		s.met.queries.get(`outcome="ok"`).inc()
-		s.respond(w, &QueryResponse{Solutions: []map[string]string{}, ElapsedMS: msSince(start)})
+		resp := newBody()
+		resp.b = append(resp.b, "[]"...)
+		resp.send(w, start, envelope{})
 		return
 	}
 
@@ -538,10 +541,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	key = idx.CachePrefix() + key
 	cacheable = cacheable && s.cache != nil && !req.NoCache
 	if cacheable {
-		if sols, ok := s.cache.get(key); ok {
+		if sols, count, ok := s.cache.get(key); ok {
 			s.met.queries.get(`outcome="cache_hit"`).inc()
 			s.met.queryDur.observe(time.Since(start))
-			s.respond(w, &QueryResponse{Solutions: sols, Cached: true, ElapsedMS: msSince(start)})
+			resp := newBody()
+			resp.b = append(resp.b, sols...)
+			resp.send(w, start, envelope{count: count, cached: true})
 			return
 		}
 	}
@@ -571,7 +576,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// One iterator source per evaluation: in live mode this pins an epoch
 	// snapshot, so a concurrent flush or merge cannot tear the view.
 	iters := idx.PatternIters()
-	sols, err := sel.Run(ltj.IndexFunc(iters))
+	rows, err := sel.Rows(ltj.IndexFunc(iters))
 	elapsed := time.Since(start)
 	s.met.ltjLeaps.add(int64(st.Leaps))
 	s.met.ltjBinds.add(int64(st.Binds))
@@ -592,24 +597,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	decoded := make([]map[string]string, len(sols))
-	for i, b := range sols {
-		decoded[i] = idx.DecodeBinding(b, predVars)
-	}
+	resp := newBody()
+	resp.b = appendSolutions(resp.b, rows, idx.Dictionary(), predVars)
 	if cacheable && !timedOut {
-		s.cache.put(key, decoded)
+		s.cache.put(key, bytes.Clone(resp.solutions()), rows.N)
 	}
 	outcome := `outcome="ok"`
 	if timedOut {
 		outcome = `outcome="timeout"`
 	}
 	s.met.queries.get(outcome).inc()
-	s.respond(w, &QueryResponse{
-		Solutions: decoded,
-		TimedOut:  timedOut,
-		ElapsedMS: msSince(start),
-		Stats:     statsJSON(st),
-	})
+	resp.send(w, start, envelope{count: rows.N, timedOut: timedOut, stats: &st})
 }
 
 // shedQuery refuses a query retryably: the shed is counted under its
@@ -663,14 +661,6 @@ func checkVars(p graph.Pattern, project, orderBy []string, feasible bool) error 
 		}
 	}
 	return nil
-}
-
-func (s *Server) respond(w http.ResponseWriter, resp *QueryResponse) {
-	if resp.Solutions == nil {
-		resp.Solutions = []map[string]string{}
-	}
-	resp.Count = len(resp.Solutions)
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

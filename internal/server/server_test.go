@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -508,6 +509,45 @@ func TestDeadlineExceeded(t *testing.T) {
 		TimeoutMS: 1,
 	}); qr2.Cached {
 		t.Fatal("timed-out result was cached")
+	}
+}
+
+// TestHostileTimeoutIsCapped: a timeout_ms too large for a time.Duration
+// used to convert to a negative one, slip under the MaxTimeout cap and
+// reach the engine as "no deadline". It must be capped like any other.
+func TestHostileTimeoutIsCapped(t *testing.T) {
+	hostile := []int{9223372036855, math.MaxInt64/int(time.Millisecond) + 1, math.MaxInt64}
+	for _, ms := range hostile {
+		if d := effectiveTimeout(ms, 30*time.Second, time.Minute); d != time.Minute {
+			t.Errorf("effectiveTimeout(%d) = %v, want the 1m cap", ms, d)
+		}
+		if d := effectiveTimeout(ms, 30*time.Second, 0); d <= 0 {
+			t.Errorf("uncapped effectiveTimeout(%d) = %v, want a positive duration", ms, d)
+		}
+	}
+
+	const maxTimeout = 100 * time.Millisecond
+	_, ts := newTestServer(t, Config{Store: heavyStore(t), MaxLimit: 1 << 30, MaxTimeout: maxTimeout})
+	client := &http.Client{Timeout: 30 * time.Second} // an unbounded evaluation fails the test instead of hanging it
+	for _, ms := range hostile {
+		body, err := json.Marshal(QueryRequest{Pattern: threeHop(), Limit: 1 << 30, TimeoutMS: ms, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("timeout_ms %d: %v (evaluation not bounded by MaxTimeout %v)", ms, err, maxTimeout)
+		}
+		var qr QueryResponse
+		err = json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("timeout_ms %d: status %d, decode error %v", ms, resp.StatusCode, err)
+		}
+		if !qr.TimedOut {
+			t.Errorf("timeout_ms %d: the 3-hop join finished (%d solutions in %v) instead of hitting the %v cap", ms, qr.Count, time.Since(start), maxTimeout)
+		}
 	}
 }
 

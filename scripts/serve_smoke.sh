@@ -73,6 +73,30 @@ case "$body" in
     ;;
 esac
 
+echo "== serve-smoke: cached reply (same bytes, Content-Length framed)"
+# The same cacheable query twice: the second reply must come from the
+# result cache and carry the first one's solutions array byte for byte.
+for n in 1 2; do
+    curl -fsS -D "$TMP/hdr$n.txt" -o "$TMP/reply$n.json" -G \
+        --data-urlencode 'q=n000 ?p ?b ; ?b p0 ?c' --data 'limit=50' "$BASE/query"
+    if ! grep -qi '^content-length: [0-9]' "$TMP/hdr$n.txt"; then
+        echo "serve-smoke: reply $n has no Content-Length:"
+        cat "$TMP/hdr$n.txt"
+        exit 1
+    fi
+    sed 's/^{"solutions":\(\[.*\]\),"count":.*$/\1/' "$TMP/reply$n.json" > "$TMP/sols$n.json"
+done
+if ! grep -q '"cached":false' "$TMP/reply1.json" || ! grep -q '"cached":true' "$TMP/reply2.json"; then
+    echo "serve-smoke: want a miss then a hit, got:"
+    cat "$TMP/reply1.json" "$TMP/reply2.json"
+    exit 1
+fi
+if ! grep -q '^\[{' "$TMP/sols1.json" || ! cmp -s "$TMP/sols1.json" "$TMP/sols2.json"; then
+    echo "serve-smoke: the cached solutions differ from the evaluated ones:"
+    cat "$TMP/sols1.json" "$TMP/sols2.json"
+    exit 1
+fi
+
 echo "== serve-smoke: overload burst (expect shedding)"
 HEAVY='q=?a ?p ?b ; ?b ?q ?c ; ?c ?r ?d'
 : > "$TMP/codes.txt"

@@ -129,13 +129,7 @@ type QueryOptions struct {
 // Evaluate runs worst-case-optimal LTJ over a ring at the identifier
 // level.
 func Evaluate(r *Ring, q Pattern, opt QueryOptions) ([]Binding, error) {
-	idx := ltj.IndexFunc(func(tp TriplePattern) ltj.PatternIter {
-		return r.NewPatternState(tp)
-	})
-	res, err := ltj.Evaluate(idx, q, ltj.Options{
-		Limit: opt.Limit, Timeout: opt.Timeout, Context: opt.Context,
-		Order: opt.Order, Parallelism: opt.Parallelism,
-	})
+	res, err := ltj.Evaluate(ringIndex(r), q, opt.ltj())
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +137,21 @@ func Evaluate(r *Ring, q Pattern, opt QueryOptions) ([]Binding, error) {
 		return res.Solutions, ErrTimeout
 	}
 	return res.Solutions, nil
+}
+
+// ltj translates the options for the engine.
+func (opt QueryOptions) ltj() ltj.Options {
+	return ltj.Options{
+		Limit: opt.Limit, Timeout: opt.Timeout, Context: opt.Context,
+		Order: opt.Order, Parallelism: opt.Parallelism,
+	}
+}
+
+// ringIndex adapts a ring to the engine's index interface.
+func ringIndex(r *Ring) ltj.Index {
+	return ltj.IndexFunc(func(tp TriplePattern) ltj.PatternIter {
+		return r.NewPatternState(tp)
+	})
 }
 
 // ErrTimeout reports that evaluation hit QueryOptions.Timeout; partial
@@ -273,12 +282,19 @@ func (s *Store) Query(q []PatternString, opt QueryOptions) ([]map[string]string,
 	if !feasible {
 		return nil, nil
 	}
-	sols, err := Evaluate(s.ring, encoded, opt)
-	out := make([]map[string]string, len(sols))
-	for i, b := range sols {
-		out[i] = s.dict.DecodeBinding(b, predVars)
+	out := []map[string]string{}
+	var stats EvalStats
+	err = ltj.StreamSlots(ringIndex(s.ring), encoded, opt.ltj(), &stats, func(order []string, vals []ID) bool {
+		out = append(out, s.dict.DecodeRow(order, vals, predVars))
+		return opt.Limit <= 0 || len(out) < opt.Limit
+	})
+	switch {
+	case errors.Is(err, ltj.ErrTimeout):
+		return out, ErrTimeout
+	case err != nil:
+		return nil, err
 	}
-	return out, err
+	return out, nil
 }
 
 // SelectOptions extends QueryOptions with the layered query features of
@@ -310,10 +326,7 @@ func (s *Store) Select(q []PatternString, opt SelectOptions) ([]map[string]strin
 	if !feasible {
 		return nil, nil
 	}
-	idx := ltj.IndexFunc(func(tp TriplePattern) ltj.PatternIter {
-		return s.ring.NewPatternState(tp)
-	})
-	sols, err := query.Select{
+	rows, err := query.Select{
 		Pattern:     encoded,
 		Project:     opt.Project,
 		Distinct:    opt.Distinct,
@@ -324,13 +337,13 @@ func (s *Store) Select(q []PatternString, opt SelectOptions) ([]map[string]strin
 		Context:     opt.Context,
 		Parallelism: opt.Parallelism,
 		Stats:       opt.Stats,
-	}.Run(idx)
+	}.Rows(ringIndex(s.ring))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]map[string]string, len(sols))
-	for i, b := range sols {
-		out[i] = s.dict.DecodeBinding(b, predVars)
+	out := make([]map[string]string, rows.N)
+	for i := range out {
+		out[i] = s.dict.DecodeRow(rows.Vars, rows.Row(i), predVars)
 	}
 	return out, nil
 }
@@ -353,9 +366,7 @@ func (s *Store) Reach(src, path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	lister := rpq.IndexLister{Idx: ltj.IndexFunc(func(tp TriplePattern) ltj.PatternIter {
-		return s.ring.NewPatternState(tp)
-	})}
+	lister := rpq.IndexLister{Idx: ringIndex(s.ring)}
 	ids := rpq.Compile(expr).Reach(lister, srcID)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]string, 0, len(ids))
