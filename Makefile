@@ -22,17 +22,15 @@
 #   make bench-substrate  the rank/select substrate microbenchmarks
 #                         (bits, bitvector, wavelet, ring Leap/Bind);
 #                         benchstat-friendly: set BENCH_COUNT>=10 to compare
-#   make bench-mmap-load  cold-start load comparison, decode vs mmap
-#                         (wall + peak RSS, fresh process per run),
-#                         writing BENCH_mmap_load.json
 #   make serve-smoke      end-to-end ringserve smoke: build, index, serve,
 #                         query, overload shedding, SIGTERM drain
 #   make persist-smoke    end-to-end live-update smoke: insert over HTTP,
 #                         SIGKILL, recover from the WAL, drain with a
 #                         final checkpoint, inspect with ringstats
 #   make mmap-smoke       end-to-end zero-copy smoke: ringstats layout,
-#                         decode-vs-mmap differential serving across a
-#                         restart, live mode with view-loaded checkpoints
+#                         heap bytes vs mapped bytes through one View,
+#                         serving across a restart, live mode with
+#                         view-loaded checkpoints
 #   make repl-smoke       end-to-end replication smoke: leader + follower,
 #                         lag to zero, read-your-writes via X-Ring-Min-Seq,
 #                         leader kill, promote, clean drain
@@ -50,7 +48,7 @@
 GO ?= go
 BENCH_COUNT ?= 1
 
-.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-check bench-substrate bench-mmap-load serve-smoke persist-smoke mmap-smoke repl-smoke
+.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-check bench-substrate serve-smoke persist-smoke mmap-smoke repl-smoke
 
 check: fmt vet lint build test test-debug race race-batch bench-smoke bench-check serve-smoke persist-smoke mmap-smoke repl-smoke
 
@@ -102,9 +100,6 @@ bench-substrate:
 
 bench-check:
 	cd cmd/ringbench && $(GO) vet ./... && $(GO) test ./...
-
-bench-mmap-load:
-	$(GO) run ./cmd/benchload -json $(CURDIR)/BENCH_mmap_load.json
 
 serve-smoke:
 	sh scripts/serve_smoke.sh

@@ -465,7 +465,7 @@ func BenchmarkAblationRRRBlock(b *testing.B) {
 // and the speedup against the sequential engine measured in the same
 // run. On a single-CPU host the goroutines share one core, so the
 // speedup reported there reflects coordination overhead, not scaling;
-// BENCH_parallel_ltj.json records the same sweep via cmd/benchtables.
+// `benchtables -table parallel` runs the full per-shape sweep.
 func BenchmarkParallelLTJ(b *testing.B) {
 	e := loadEnv()
 	var queries []graph.Pattern

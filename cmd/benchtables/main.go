@@ -11,18 +11,16 @@
 //	benchtables -table 2   [-n 2000000]   # Table 2: real-world mix
 //	benchtables -table 3                  # Table 3: order counts
 //	benchtables -table space [-n 1000000] # §5.2.1 space/retrieval detail
-//	benchtables -table parallel [-json BENCH_parallel_ltj.json]
-//	                                      # intra-query parallel LTJ sweep
+//	benchtables -table parallel [-levels 1,2] # intra-query parallel LTJ sweep
 //	benchtables -table all
 //
 // The -parallel flag sets the intra-query worker count for tables 1, 2
 // and fig8 (0 = sequential, the paper's protocol); -table parallel
-// instead sweeps parallelism levels explicitly and can record the result
-// as JSON.
+// instead sweeps parallelism levels explicitly, per shape as well as for
+// the whole mix.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -52,7 +50,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 0, "intra-query workers for tables 1/2/fig8 (0 = sequential)")
 	levels := flag.String("levels", "1,2,4,8", "parallelism levels for -table parallel")
-	jsonOut := flag.String("json", "", "for -table parallel: also write the sweep as JSON to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -79,14 +76,14 @@ func main() {
 	case "space":
 		spaceDetail(*n, *seed)
 	case "parallel":
-		parallelTable(*n, *perShape, *timeout, *seed, parseLevels(*levels), *jsonOut)
+		parallelTable(*n, *perShape, *timeout, *seed, parseLevels(*levels))
 	case "all":
 		table1(*n, *perShape, *timeout, *seed, *parallel)
 		figure8(*n, *perShape, *timeout, *seed, *parallel)
 		table2(*n, *timeout, *seed, *parallel)
 		table3()
 		spaceDetail(*n, *seed)
-		parallelTable(*n, *perShape, *timeout, *seed, parseLevels(*levels), *jsonOut)
+		parallelTable(*n, *perShape, *timeout, *seed, parseLevels(*levels))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -296,100 +293,61 @@ func bitsFor(v uint64) int {
 	return n + 1
 }
 
-// parallelReport is the JSON schema of BENCH_parallel_ltj.json: one
-// intra-query parallelism sweep per system over the WGPB workload.
-type parallelReport struct {
-	Workload   string               `json:"workload"`
-	Triples    int                  `json:"triples"`
-	Queries    int                  `json:"queries"`
-	Limit      int                  `json:"limit"`
-	TimeoutMS  int64                `json:"timeout_ms"`
-	Seed       int64                `json:"seed"`
-	GoMaxProcs int                  `json:"gomaxprocs"`
-	NumCPU     int                  `json:"num_cpu"`
-	Note       string               `json:"note,omitempty"`
-	Systems    []parallelSystemRows `json:"systems"`
-}
-
-type parallelSystemRows struct {
-	System string             `json:"system"`
-	Levels []parallelLevelRow `json:"levels"`
-}
-
-type parallelLevelRow struct {
-	Parallelism int     `json:"parallelism"`
-	MeanMS      float64 `json:"mean_ms"`
-	MedianMS    float64 `json:"median_ms"`
-	P75MS       float64 `json:"p75_ms"`
-	Timeouts    int     `json:"timeouts"`
-	Speedup     float64 `json:"speedup_vs_p1"`
-}
-
 // parallelTable sweeps intra-query parallelism levels over the WGPB
-// workload and prints per-level means/medians plus the speedup against
-// the single-worker run. With jsonOut set, the sweep is also written as
-// JSON (the source of BENCH_parallel_ltj.json).
-func parallelTable(n, perShape int, timeout time.Duration, seed int64, levels []int, jsonOut string) {
+// workload and prints, per system, the whole mix's mean/median/p75 per
+// level with the speedup against the first level, then each shape's
+// median per level with the same ratio, and whether every query returned
+// the same number of solutions at every level.
+func parallelTable(n, perShape int, timeout time.Duration, seed int64, levels []int) {
 	g := makeGraph(n, seed)
 	w := wgpb.NewWorkload(g, seed+4)
 	var queries []graph.Pattern
+	type span struct {
+		name   string
+		lo, hi int
+	}
+	var shapes []span
 	for i := range wgpb.Shapes {
+		lo := len(queries)
 		queries = append(queries, w.Queries(&wgpb.Shapes[i], perShape)...)
+		shapes = append(shapes, span{wgpb.Shapes[i].Name, lo, len(queries)})
 	}
 	opt := ltj.Options{Limit: 1000, Timeout: timeout}
-	report := parallelReport{
-		Workload:   "WGPB shape mix",
-		Triples:    g.Len(),
-		Queries:    len(queries),
-		Limit:      opt.Limit,
-		TimeoutMS:  timeout.Milliseconds(),
-		Seed:       seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	if runtime.NumCPU() < 2 {
-		report.Note = "single-CPU host: worker goroutines share one core, so speedup over P=1 " +
-			"measures overhead only; rerun on a multicore machine for scaling numbers"
-	}
-	fmt.Printf("\nParallel LTJ — WGPB shape mix (%d queries), speedup vs 1 worker (GOMAXPROCS=%d, NumCPU=%d)\n",
-		len(queries), report.GoMaxProcs, report.NumCPU)
-	fmt.Printf("%-14s %10s %12s %12s %12s %10s %10s\n",
-		"System", "workers", "mean ms", "median ms", "p75 ms", "timeouts", "speedup")
+	fmt.Printf("\nParallel LTJ — WGPB shape mix (%d queries), speedup vs %d worker(s) (GOMAXPROCS=%d, NumCPU=%d)\n",
+		len(queries), levels[0], runtime.GOMAXPROCS(0), runtime.NumCPU())
 	set := bench.SystemSet{Ring: true, CRing: true}
 	for _, sys := range bench.Build(g, set) {
 		sweep, err := bench.ParallelSweep(sys, queries, opt, levels)
 		if err != nil {
 			log.Fatal(err)
 		}
+		fmt.Printf("%-14s %10s %12s %12s %12s %10s %10s\n",
+			"System", "workers", "mean ms", "median ms", "p75 ms", "timeouts", "speedup")
 		base := sweep[0]
-		rows := parallelSystemRows{System: sys.Name()}
+		sameCounts := true
 		for _, s := range sweep {
-			sp := bench.Speedup(base, s)
 			fmt.Printf("%-14s %10d %12.2f %12.2f %12.2f %10d %9.2fx\n",
 				sys.Name(), s.Parallelism, ms(s.Mean()), ms(s.Median()),
-				ms(s.Percentile(75)), s.Timeouts(), sp)
-			rows.Levels = append(rows.Levels, parallelLevelRow{
-				Parallelism: s.Parallelism,
-				MeanMS:      ms(s.Mean()),
-				MedianMS:    ms(s.Median()),
-				P75MS:       ms(s.Percentile(75)),
-				Timeouts:    s.Timeouts(),
-				Speedup:     sp,
-			})
+				ms(s.Percentile(75)), s.Timeouts(), bench.Speedup(base, s))
+			for i, q := range s.Queries {
+				sameCounts = sameCounts && q.Solutions == base.Queries[i].Solutions
+			}
 		}
-		report.Systems = append(report.Systems, rows)
-	}
-	if report.Note != "" {
-		fmt.Println("note: " + report.Note)
-	}
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatal(err)
+		fmt.Printf("%-14s %10s", sys.Name()+" shape", "")
+		for _, s := range sweep {
+			fmt.Printf(" %8s p50", fmt.Sprintf("P=%d", s.Parallelism))
 		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+		fmt.Printf(" %10s\n", "speedup")
+		for _, sh := range shapes {
+			fmt.Printf("%-14s %10s", sh.name, "")
+			var med []time.Duration
+			for _, s := range sweep {
+				part := &bench.RunStats{Queries: s.Queries[sh.lo:sh.hi]}
+				med = append(med, part.Median())
+				fmt.Printf(" %12.2f", ms(part.Median()))
+			}
+			fmt.Printf(" %9.2fx\n", float64(med[0])/float64(max(med[len(med)-1], 1)))
 		}
-		fmt.Printf("wrote %s\n", jsonOut)
+		fmt.Printf("%s: solution counts identical across levels: %v\n\n", sys.Name(), sameCounts)
 	}
 }

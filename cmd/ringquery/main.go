@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := wcoring.ReadStore(bufio.NewReader(f))
+	store, err := wcoring.ReadStore(f)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)

@@ -46,7 +46,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -366,7 +365,7 @@ func loadStore(srv *server.Server, path string, useMmap bool) error {
 		if err != nil {
 			return err
 		}
-		store, err = wcoring.ReadStore(bufio.NewReader(f))
+		store, err = wcoring.ReadStore(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("reading %s: %w", path, err)

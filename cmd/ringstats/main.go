@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
@@ -67,7 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store, err = wcoring.ReadStore(bufio.NewReader(f))
+		store, err = wcoring.ReadStore(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)

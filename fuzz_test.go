@@ -3,9 +3,9 @@ package wcoring
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/ltj"
@@ -19,54 +19,44 @@ import (
 // The invariant in each case is "malformed input must error, never
 // panic, and valid input must round-trip".
 
-// FuzzReadStore feeds arbitrary bytes to the store deserializer.
+// Every store load is ViewStore over some bytes, so the store fuzzers
+// hold together the one fork left, which is where the words come from:
+// an 8-byte-aligned buffer (payloads alias it), the same bytes one byte
+// off alignment (payloads are copied), or ReadStore's own buffer filled
+// from a reader. FuzzReadStore compares the reader against the aligned
+// view, FuzzViewStore the aligned view against the copy fallback.
+
+// FuzzReadStore checks that ReadStore, fed the bytes through a reader,
+// accepts and rejects what ViewStore does on an aligned copy of them,
+// without panicking, and answers a query identically on acceptance.
 func FuzzReadStore(f *testing.F) {
-	store, err := NewStore([]StringTriple{
+	addStoreSeeds(f, []StringTriple{
 		{S: "a", P: "p", O: "b"},
 		{S: "b", P: "p", O: "c"},
-	}, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := store.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	f.Add([]byte("garbage that is definitely not an index"))
-	// A few single-byte corruptions of the valid image.
-	for _, i := range []int{0, 8, 20, len(valid) / 2, len(valid) - 1} {
-		c := append([]byte(nil), valid...)
-		c[i] ^= 0x5A
-		f.Add(c)
-	}
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadStore(bytes.NewReader(data))
-		if err != nil {
-			return // rejected: fine
-		}
-		// Accepted input must yield a usable store.
-		if s.Len() < 0 {
-			t.Fatal("negative length")
-		}
-		_, _ = s.Query([]PatternString{{S: "?x", P: "?p", O: "?y"}}, QueryOptions{Limit: 5})
+		sameStoreLoads(t, data, "aligned", "read")
 	})
 }
 
-// FuzzViewStore is the differential fuzzer for the zero-copy load path:
-// ViewStore and ReadStore must accept/reject the same inputs, and on
-// acceptance answer queries identically. The view buffer is 8-byte
-// aligned so the aliasing fast path (not the copy fallback) is the one
-// being fuzzed.
+// FuzzViewStore checks that ViewStore takes the same verdict and gives
+// the same answers whether the bytes are 8-byte aligned (aliased) or one
+// byte off (copy fallback).
 func FuzzViewStore(f *testing.F) {
-	store, err := NewStore([]StringTriple{
+	addStoreSeeds(f, []StringTriple{
 		{S: "a", P: "p", O: "b"},
 		{S: "b", P: "p", O: "c"},
 		{S: "c", P: "q", O: "a"},
-	}, Options{})
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameStoreLoads(t, data, "aligned", "skew-1")
+	})
+}
+
+// addStoreSeeds seeds f with the image of a store over triples, its
+// first half, empty and garbage input, and single-byte corruptions.
+func addStoreSeeds(f *testing.F, triples []StringTriple) {
+	store, err := NewStore(triples, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -84,28 +74,38 @@ func FuzzViewStore(f *testing.F) {
 		c[i] ^= 0x5A
 		f.Add(c)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		aligned := make([]byte, len(data)+8)
-		base := (8 - int(uintptr(unsafe.Pointer(&aligned[0])))%8) % 8
-		copy(aligned[base:], data)
-		viewed, errView := ViewStore(aligned[base : base+len(data)])
-		read, errRead := ReadStore(bytes.NewReader(data))
-		if (errView == nil) != (errRead == nil) {
-			t.Fatalf("paths disagree: view err %v, read err %v", errView, errRead)
+}
+
+// sameStoreLoads loads data in each of the named ways and fails unless
+// all reach the same verdict and, on acceptance, the same query answer.
+func sameStoreLoads(t *testing.T, data []byte, ways ...string) {
+	load := map[string]func() (*Store, error){
+		"aligned": func() (*Store, error) { return ViewStore(alignedCopy(data, 0)) },
+		"skew-1":  func() (*Store, error) { return ViewStore(alignedCopy(data, 1)) },
+		"read":    func() (*Store, error) { return ReadStore(bytes.NewReader(data)) },
+	}
+	// outcome is what one load did with data: its verdict and, on
+	// acceptance, a query's answer.
+	type outcome struct {
+		loaded  bool
+		sols    []map[string]string
+		queryOK bool
+	}
+	var want outcome
+	for i, way := range ways {
+		var got outcome
+		s, err := load[way]()
+		if got.loaded = err == nil; got.loaded {
+			var qerr error
+			got.sols, qerr = s.Query([]PatternString{{S: "?x", P: "?p", O: "?y"}}, QueryOptions{Limit: 10})
+			got.queryOK = qerr == nil
 		}
-		if errView != nil {
-			return
+		if i == 0 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %+v (err %v), %s: %+v", way, got, err, ways[0], want)
 		}
-		if viewed.Len() != read.Len() {
-			t.Fatalf("Len: view %d, read %d", viewed.Len(), read.Len())
-		}
-		q := []PatternString{{S: "?x", P: "?p", O: "?y"}}
-		sv, errV := viewed.Query(q, QueryOptions{Limit: 10})
-		sr, errR := read.Query(q, QueryOptions{Limit: 10})
-		if (errV == nil) != (errR == nil) || len(sv) != len(sr) {
-			t.Fatalf("query: view (%d sols, %v), read (%d sols, %v)", len(sv), errV, len(sr), errR)
-		}
-	})
+	}
 }
 
 // FuzzParseTSV feeds arbitrary text to the triple parser.

@@ -165,10 +165,9 @@ func Run(sys System, queries []graph.Pattern, opt ltj.Options) (*RunStats, error
 
 // ParallelSweep runs the same workload at several intra-query
 // parallelism levels (0/1 = sequential) and returns one RunStats per
-// level, in order — the data behind the parallel columns of
-// cmd/benchtables and BENCH_parallel_ltj.json. Queries within a level
-// still run sequentially, as in the paper's protocol; only the evaluation
-// of each individual query is parallel.
+// level, in order — the data behind `benchtables -table parallel`.
+// Queries within a level still run sequentially, as in the paper's
+// protocol; only the evaluation of each individual query is parallel.
 func ParallelSweep(sys System, queries []graph.Pattern, opt ltj.Options, levels []int) ([]*RunStats, error) {
 	out := make([]*RunStats, 0, len(levels))
 	for _, p := range levels {

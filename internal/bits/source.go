@@ -7,33 +7,25 @@ import (
 	"unsafe"
 )
 
-// Source supplies little-endian uint64 words to the succinct-structure
-// deserializers. Two implementations exist:
+// ByteSource supplies little-endian uint64 words from an in-memory byte
+// slice to the succinct-structure decoders. It is the one input every
+// Decode* function takes: a memory-mapped file hands over its mapping, and
+// a stream is first read whole with ReadAligned.
 //
-//   - ReaderSource decodes from an io.Reader, copying every word onto the
-//     heap. This is the historical load path and works on any stream.
-//   - ByteSource decodes from an in-memory byte slice (typically a
-//     memory-mapped file). When the host is little-endian and the slice is
-//     8-byte aligned, Words returns sub-slices that alias the backing
-//     bytes directly — zero copies, zero allocation proportional to the
-//     payload. Otherwise it silently falls back to copying.
-//
-// The split between U64s and Words encodes an ownership contract:
-// U64s is for headers and small directories — the result is always a
-// fresh private slice the caller may scribble on. Words is for bulk
-// payloads — the result MAY alias read-only mapped memory and must never
-// be written to (see the ringlint viewsafe analyzer and DESIGN.md §12).
-type Source interface {
-	// U64s reads n little-endian uint64 values into a freshly allocated
-	// slice the caller owns.
-	U64s(n int) ([]uint64, error)
-	// Words reads n little-endian uint64 values. The result may alias
-	// the source's backing buffer and must be treated as read-only.
-	Words(n int) ([]uint64, error)
-	// Aliased reports whether Words returns aliases into the backing
-	// buffer (true only for an aligned ByteSource on a little-endian
-	// host).
-	Aliased() bool
+// The split between U64s and Words encodes an ownership contract: U64s is
+// for headers and small directories — the result is always a fresh
+// private slice the caller may scribble on. Words is for bulk payloads —
+// when the host is little-endian and the slice is 8-byte aligned, the
+// result aliases the backing bytes (zero copies, zero allocation
+// proportional to the payload) and must never be written to, since it may
+// point into a read-only mapping (see the ringlint viewsafe analyzer and
+// DESIGN.md §12). Otherwise — odd interior offsets in legacy store files,
+// exotic hosts — Words copies, which is slower but always correct.
+type ByteSource struct {
+	buf    []byte
+	off    int
+	prefix string
+	alias  bool
 }
 
 // maxSliceWords bounds any single Words/U64s request. A forged length in
@@ -48,83 +40,7 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
 }()
 
-// ReaderSource adapts an io.Reader into a Source. It never aliases: every
-// word is decoded into fresh heap slices, preserving the historical
-// decode-and-copy load path byte for byte (it consumes exactly the words
-// requested, so composite streams — a ring after a dictionary, a wavelet
-// level after a header — keep working).
-type ReaderSource struct {
-	r      io.Reader
-	prefix string
-}
-
-// NewReaderSource returns a Source reading from r. prefix namespaces
-// error messages (e.g. "bitvector").
-func NewReaderSource(r io.Reader, prefix string) *ReaderSource {
-	return &ReaderSource{r: r, prefix: prefix}
-}
-
-// U64s reads n words from the stream.
-func (s *ReaderSource) U64s(n int) ([]uint64, error) {
-	if n < 0 || n > maxSliceWords {
-		return nil, fmt.Errorf("%s: implausible slice length %d", s.prefix, n)
-	}
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return nil, fmt.Errorf("%s: short read: %w", s.prefix, err)
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	return vs, nil
-}
-
-// Words reads n words from the stream. The slice grows chunk by chunk as
-// reads succeed: a forged length on a truncated stream must fail fast,
-// not allocate gigabytes up front.
-func (s *ReaderSource) Words(n int) ([]uint64, error) {
-	if n < 0 || n > maxSliceWords {
-		return nil, fmt.Errorf("%s: implausible slice length %d", s.prefix, n)
-	}
-	var out []uint64
-	const chunk = 8192
-	buf := make([]byte, 8*chunk)
-	for off := 0; off < n; {
-		m := n - off
-		if m > chunk {
-			m = chunk
-		}
-		if _, err := io.ReadFull(s.r, buf[:8*m]); err != nil {
-			return nil, fmt.Errorf("%s: short read: %w", s.prefix, err)
-		}
-		for i := 0; i < m; i++ {
-			out = append(out, binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		off += m
-	}
-	if out == nil {
-		out = []uint64{}
-	}
-	return out, nil
-}
-
-// Aliased always reports false for a ReaderSource.
-func (s *ReaderSource) Aliased() bool { return false }
-
-// ByteSource is a Source over an in-memory byte slice, typically a
-// memory-mapped index file. When the base pointer is 8-byte aligned and
-// the host is little-endian, Words reinterprets the bytes in place;
-// otherwise (odd interior offsets in legacy store files, exotic hosts)
-// it copies, which is slower but always correct.
-type ByteSource struct {
-	buf    []byte
-	off    int
-	prefix string
-	alias  bool
-}
-
-// NewByteSource returns a Source over b. prefix namespaces error
+// NewByteSource returns a source over b. prefix namespaces error
 // messages. b must not be mutated while any structure decoded from the
 // source is alive.
 func NewByteSource(b []byte, prefix string) *ByteSource {
@@ -185,5 +101,50 @@ func (s *ByteSource) Words(n int) ([]uint64, error) {
 	return vs, nil
 }
 
-// Aliased reports whether Words aliases the backing buffer.
-func (s *ByteSource) Aliased() bool { return s.alias }
+// ReadAligned reads r to EOF and returns its bytes in a buffer whose
+// first byte is 8-byte aligned, so a View over the result aliases the
+// word payloads instead of copying them. The buffer is []uint64-backed
+// and doubles as bytes arrive: its size follows the stream, never a
+// length the stream claims, so a forged header cannot force a large
+// allocation. When doubling overshot by more than an eighth, the bytes
+// move to an exact-size buffer, since views keep the buffer alive for
+// the life of whatever was decoded from it.
+func ReadAligned(r io.Reader) ([]byte, error) {
+	words := make([]uint64, 512)
+	n := 0
+	for {
+		buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
+		if n == len(buf) {
+			grown := make([]uint64, 2*len(words))
+			copy(grown, words)
+			words = grown
+			continue
+		}
+		k, err := r.Read(buf[n:])
+		n += k
+		if err == io.EOF {
+			if need := max(WordsFor(8*uint64(n)), 1); len(words)-need > len(words)/8 {
+				words = append([]uint64(nil), words[:need]...)
+				buf = unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*need)
+			}
+			return buf[:n:n], nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// View decodes one structure from the start of b with decode and reports
+// how many bytes it consumed, so a caller can go on to the next section
+// of a composite stream. Every structure's View is this over its
+// Decode.
+func View[T any](b []byte, prefix string, decode func(*ByteSource) (T, error)) (T, int, error) {
+	src := NewByteSource(b, prefix)
+	v, err := decode(src)
+	if err != nil {
+		var zero T
+		return zero, 0, err
+	}
+	return v, src.Offset(), nil
+}

@@ -338,32 +338,23 @@ func (p *Plain) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadPlain deserializes a Plain vector written by WriteTo.
-func ReadPlain(r io.Reader) (*Plain, error) {
-	return DecodePlain(bits.NewReaderSource(r, "bitvector"))
-}
-
-// ViewPlain deserializes a Plain vector from an in-memory buffer —
-// typically a memory-mapped file. The word payload aliases b when the
-// host is little-endian and b is 8-byte aligned (copied otherwise); the
+// ViewPlain deserializes a Plain vector written by WriteTo from an
+// in-memory buffer (a memory mapping, or a stream read whole with
+// bits.ReadAligned). The word payload aliases b when the host is
+// little-endian and b is 8-byte aligned (copied otherwise); the
 // rank/select directories are rebuilt on the heap either way. It returns
 // the number of bytes consumed so callers can continue decoding a
 // composite stream.
 func ViewPlain(b []byte) (*Plain, int, error) {
-	src := bits.NewByteSource(b, "bitvector")
-	p, err := DecodePlain(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, src.Offset(), nil
+	return bits.View(b, "bitvector", DecodePlain)
 }
 
-// DecodePlain deserializes a Plain vector from any Source. The payload
+// DecodePlain deserializes a Plain vector at src's offset. The payload
 // obtained through src.Words may alias read-only mapped memory, so —
 // unlike PlainFromWords, which clears stray tail bits in place — the
 // decoder rejects a nonzero tail instead of repairing it. WriteTo always
 // emits clean tails, so this only fires on corrupt or hand-forged input.
-func DecodePlain(src bits.Source) (*Plain, error) {
+func DecodePlain(src *bits.ByteSource) (*Plain, error) {
 	hdr, err := src.U64s(3)
 	if err != nil {
 		return nil, err

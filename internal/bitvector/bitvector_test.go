@@ -249,9 +249,9 @@ func TestPlainSerializationRoundTrip(t *testing.T) {
 		if _, err := v.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		got, err := ReadPlain(&buf)
+		got, _, err := ViewPlain(buf.Bytes())
 		if err != nil {
-			t.Fatalf("ReadPlain: %v", err)
+			t.Fatalf("ViewPlain: %v", err)
 		}
 		checkAgainstNaive(t, got, bs, "plain-roundtrip")
 	}
@@ -266,9 +266,9 @@ func TestRRRSerializationRoundTrip(t *testing.T) {
 		if _, err := v.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		got, err := ReadRRR(&buf)
+		got, _, err := ViewRRR(buf.Bytes())
 		if err != nil {
-			t.Fatalf("ReadRRR: %v", err)
+			t.Fatalf("ViewRRR: %v", err)
 		}
 		checkAgainstNaive(t, got, bs, "rrr-roundtrip")
 	}
@@ -284,18 +284,18 @@ func TestCorruptSerializationErrors(t *testing.T) {
 	data := buf.Bytes()
 
 	// Truncated stream.
-	if _, err := ReadPlain(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Error("ReadPlain accepted a truncated stream")
+	if _, _, err := ViewPlain(data[:len(data)/2]); err == nil {
+		t.Error("ViewPlain accepted a truncated stream")
 	}
 	// Bad magic.
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xFF
-	if _, err := ReadPlain(bytes.NewReader(bad)); err == nil {
-		t.Error("ReadPlain accepted a corrupted magic")
+	if _, _, err := ViewPlain(bad); err == nil {
+		t.Error("ViewPlain accepted a corrupted magic")
 	}
 	// Reading Plain data as RRR must fail, not panic.
-	if _, err := ReadRRR(bytes.NewReader(data)); err == nil {
-		t.Error("ReadRRR accepted Plain data")
+	if _, _, err := ViewRRR(data); err == nil {
+		t.Error("ViewRRR accepted Plain data")
 	}
 
 	buf.Reset()
@@ -303,14 +303,14 @@ func TestCorruptSerializationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rdata := buf.Bytes()
-	if _, err := ReadRRR(bytes.NewReader(rdata[:20])); err == nil {
-		t.Error("ReadRRR accepted a truncated stream")
+	if _, _, err := ViewRRR(rdata[:20]); err == nil {
+		t.Error("ViewRRR accepted a truncated stream")
 	}
 	// Corrupt the block-size field to an invalid value.
 	badR := append([]byte(nil), rdata...)
 	badR[16] = 0xFF
-	if _, err := ReadRRR(bytes.NewReader(badR)); err == nil {
-		t.Error("ReadRRR accepted an invalid block size")
+	if _, _, err := ViewRRR(badR); err == nil {
+		t.Error("ViewRRR accepted an invalid block size")
 	}
 }
 

@@ -59,7 +59,7 @@ func (p *Plain) debugCheckSelect(k, pos int, one bool) {
 
 // debugCheckDirectory is the RRR counterpart of Plain.debugCheckDirectory:
 // it asserts the rank superblocks agree with the ones count and that
-// ReadRRR rebuilt the select samples (buildSelectSamples).
+// DecodeRRR rebuilt the select samples (buildSelectSamples).
 func (r *RRR) debugCheckDirectory() {
 	nBlocks := (r.n + r.blockSize - 1) / r.blockSize
 	nSuper := (nBlocks + r.sbRate - 1) / r.sbRate

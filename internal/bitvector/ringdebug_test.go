@@ -20,7 +20,7 @@ func TestRingdebugCatchesSkippedSelectRebuild(t *testing.T) {
 	if _, err := v.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := ReadRRR(&buf)
+	r, _, err := ViewRRR(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

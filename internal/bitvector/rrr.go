@@ -523,27 +523,17 @@ func narrow(xs []uint64) ([]uint32, error) {
 	return out, nil
 }
 
-// ReadRRR deserializes an RRR vector written by WriteTo.
-func ReadRRR(rd io.Reader) (*RRR, error) {
-	return DecodeRRR(bits.NewReaderSource(rd, "bitvector"))
-}
-
-// ViewRRR deserializes an RRR vector from an in-memory buffer. The
-// classes and offsets payloads alias b when possible; the uint32
-// rank/offset directories and select samples are always rebuilt or
-// copied onto the heap (they are o(n) and need a width change anyway).
-// Returns the number of bytes consumed.
+// ViewRRR deserializes an RRR vector written by WriteTo from an
+// in-memory buffer. The classes and offsets payloads alias b when
+// possible; the uint32 rank/offset directories and select samples are
+// always rebuilt or copied onto the heap (they are o(n) and need a width
+// change anyway). Returns the number of bytes consumed.
 func ViewRRR(b []byte) (*RRR, int, error) {
-	src := bits.NewByteSource(b, "bitvector")
-	r, err := DecodeRRR(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, src.Offset(), nil
+	return bits.View(b, "bitvector", DecodeRRR)
 }
 
-// DecodeRRR deserializes an RRR vector from any Source.
-func DecodeRRR(src bits.Source) (*RRR, error) {
+// DecodeRRR deserializes an RRR vector at src's offset.
+func DecodeRRR(src *bits.ByteSource) (*RRR, error) {
 	hdr, err := src.U64s(9)
 	if err != nil {
 		return nil, err

@@ -124,7 +124,7 @@ func TestSelectSamplesRebuiltOnLoad(t *testing.T) {
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	gotP, err := ReadPlain(&buf)
+	gotP, _, err := ViewPlain(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSelectSamplesRebuiltOnLoad(t *testing.T) {
 	if _, err := r.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	gotR, err := ReadRRR(&buf)
+	gotR, _, err := ViewRRR(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestReadRRRRejectsInconsistentOnes(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[32] ^= 0x01 // low byte of the ones field (header word 4)
-	if _, err := ReadRRR(bytes.NewReader(data)); err == nil {
-		t.Error("ReadRRR accepted a stream whose ones count disagrees with the rank directory")
+	if _, _, err := ViewRRR(data); err == nil {
+		t.Error("ViewRRR accepted a stream whose ones count disagrees with the rank directory")
 	}
 }

@@ -194,25 +194,16 @@ func (s *Sparse) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadSparse deserializes a Sparse vector written by WriteTo.
-func ReadSparse(r io.Reader) (*Sparse, error) {
-	return DecodeSparse(bits.NewReaderSource(r, "bitvector"))
-}
-
-// ViewSparse deserializes a Sparse vector from an in-memory buffer,
-// aliasing the low-bits payload (and the nested Plain high vector's
-// words) when possible. Returns the number of bytes consumed.
+// ViewSparse deserializes a Sparse vector written by WriteTo from an
+// in-memory buffer, aliasing the low-bits payload (and the nested Plain
+// high vector's words) when possible. Returns the number of bytes
+// consumed.
 func ViewSparse(b []byte) (*Sparse, int, error) {
-	src := bits.NewByteSource(b, "bitvector")
-	s, err := DecodeSparse(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, src.Offset(), nil
+	return bits.View(b, "bitvector", DecodeSparse)
 }
 
-// DecodeSparse deserializes a Sparse vector from any Source.
-func DecodeSparse(src bits.Source) (*Sparse, error) {
+// DecodeSparse deserializes a Sparse vector at src's offset.
+func DecodeSparse(src *bits.ByteSource) (*Sparse, error) {
 	hdr, err := src.U64s(5)
 	if err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func TestSparseSerializationRoundTrip(t *testing.T) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSparse(&buf)
+	got, _, err := ViewSparse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestSparseSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadSparse(bytes.NewReader(data[:len(data)/2])); err == nil {
+	if _, _, err := ViewSparse(data[:len(data)/2]); err == nil {
 		t.Error("accepted truncated Sparse")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 1
-	if _, err := ReadSparse(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ViewSparse(bad); err == nil {
 		t.Error("accepted bad magic")
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"unsafe"
+
+	"repro/internal/bits"
 )
 
 // writeBytes serializes any of the bitvector types through the shared
@@ -64,6 +67,26 @@ func TestViewPlainAliases(t *testing.T) {
 	if unsafe.Pointer(&v.words[0]) != unsafe.Pointer(&data[24]) {
 		t.Error("ViewPlain on an aligned buffer did not alias the input")
 	}
+}
+
+// TestReadPlainAliasesReadBuffer pins the one-reader load path: a
+// stream read whole by bits.ReadAligned and then viewed keeps the words
+// in the buffer ReadAligned allocated, so loading from a reader costs one
+// copy of the payload (into that buffer), not two.
+func TestReadPlainAliasesReadBuffer(t *testing.T) {
+	bs := randomBits(rand.New(rand.NewSource(48)), 700, 0.5)
+	b, err := bits.ReadAligned(iotest.OneByteReader(bytes.NewReader(writeBytes(t, buildPlain(bs)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := ViewPlain(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.Pointer(&v.words[0]) != unsafe.Pointer(&b[24]) {
+		t.Error("a Plain viewed over ReadAligned's buffer copied its words")
+	}
+	checkAgainstNaive(t, v, bs, "read-plain")
 }
 
 func TestViewPlainMisalignedFallback(t *testing.T) {

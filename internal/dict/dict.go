@@ -25,6 +25,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/bits"
 	"repro/internal/graph"
 )
 
@@ -40,15 +41,15 @@ type Dictionary struct {
 	soIDs map[string]graph.ID
 	pIDs  map[string]graph.ID
 
-	// View-loaded dictionaries defer the encode-side maps to first use:
-	// decoding (ID -> string) needs only the slices, so a server that maps
-	// an index pays for the maps on the first query with a constant, not
-	// at load. Build and Read populate the maps eagerly; ensureMaps is
-	// then a no-op behind an atomic load.
+	// Loaded dictionaries (Read and View) defer the encode-side maps to
+	// first use: decoding (ID -> string) needs only the slices, so a server
+	// pays for the maps on the first query with a constant, not at load.
+	// Build populates the maps eagerly; ensureMaps is then a no-op behind
+	// an atomic load.
 	mapOnce sync.Once
 }
 
-// ensureMaps builds the string -> ID maps if View deferred them. Safe
+// ensureMaps builds the string -> ID maps if a load deferred them. Safe
 // for concurrent readers; mutators (AddSO/AddP) already require external
 // synchronization.
 func (d *Dictionary) ensureMaps() {
@@ -289,66 +290,16 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read deserializes a dictionary written by WriteTo.
+// Read deserializes a dictionary written by WriteTo. It consumes r to
+// EOF: the stream is read whole and viewed, so the terms alias one
+// buffer instead of one allocation each, and the encode-side maps wait
+// for the first Encode/Add (see View).
 func Read(r io.Reader) (*Dictionary, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, len(magicHdr))
-	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr) != magicHdr {
-		return nil, errors.New("dict: bad magic")
+	b, err := bits.ReadAligned(r)
+	if err != nil {
+		return nil, fmt.Errorf("dict: %w", err)
 	}
-	var nSO, nP int
-	if _, err := fmt.Fscanf(br, "%d %d\n", &nSO, &nP); err != nil {
-		return nil, fmt.Errorf("dict: bad counts: %w", err)
-	}
-	if nSO < 0 || nP < 0 {
-		return nil, errors.New("dict: negative counts")
-	}
-	if uint64(nSO) > math.MaxUint32 || uint64(nP) > math.MaxUint32 {
-		return nil, errors.New("dict: counts exceed the ID space")
-	}
-	d := &Dictionary{
-		soIDs: make(map[string]graph.ID, min(nSO, 1<<16)),
-		pIDs:  make(map[string]graph.ID, min(nP, 1<<16)),
-	}
-	readTerms := func(n int) ([]string, error) {
-		// Grow by append rather than trusting the header count with one
-		// up-front allocation: truncated or hostile input errors out long
-		// before a fabricated count can force a huge slice.
-		out := make([]string, 0, min(n, 1<<16))
-		for i := 0; i < n; i++ {
-			prefix, err := br.ReadString(':')
-			if err != nil {
-				return nil, fmt.Errorf("dict: truncated at entry %d: %w", i, err)
-			}
-			tlen, err := strconv.Atoi(strings.TrimSuffix(prefix, ":"))
-			if err != nil || tlen < 0 || tlen > maxTermBytes {
-				return nil, fmt.Errorf("dict: entry %d: bad term length %q", i, strings.TrimSuffix(prefix, ":"))
-			}
-			term := make([]byte, tlen)
-			if _, err := io.ReadFull(br, term); err != nil {
-				return nil, fmt.Errorf("dict: truncated at entry %d: %w", i, err)
-			}
-			if b, err := br.ReadByte(); err != nil || b != '\n' {
-				return nil, fmt.Errorf("dict: entry %d: missing terminator", i)
-			}
-			out = append(out, string(term))
-		}
-		return out, nil
-	}
-	var err error
-	if d.so, err = readTerms(nSO); err != nil {
-		return nil, err
-	}
-	if d.p, err = readTerms(nP); err != nil {
-		return nil, err
-	}
-	for i, s := range d.so {
-		d.soIDs[s] = graph.ID(i)
-	}
-	for i, s := range d.p {
-		d.pIDs[s] = graph.ID(i)
-	}
-	return d, nil
+	return View(b)
 }
 
 // asString views a byte slice as a string without copying. The result
@@ -360,13 +311,12 @@ func asString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// View deserializes a dictionary from an in-memory buffer, typically the
-// dictionary section of a memory-mapped index. Unlike Read it performs
-// no per-term allocation: term strings alias b, and the string -> ID
-// maps are deferred to the first Encode/Add call (see ensureMaps), so a
-// view load is one linear scan over the section. It accepts and rejects
-// exactly the inputs Read does (FuzzViewStore holds the two paths to the
-// same verdicts).
+// View deserializes a dictionary written by WriteTo from an in-memory
+// buffer: the dictionary section of a memory-mapped index, or a stream
+// Read has read whole. It performs no per-term allocation: term strings
+// alias b, and the string -> ID maps are deferred to the first
+// Encode/Add call (see ensureMaps), so a load is one linear scan over
+// the section.
 //
 // b must stay valid (mapped, unmodified) for the lifetime of the
 // dictionary; terms handed out by Decode* alias it.
@@ -374,9 +324,8 @@ func View(b []byte) (*Dictionary, error) {
 	if len(b) < len(magicHdr) || string(b[:len(magicHdr)]) != magicHdr {
 		return nil, errors.New("dict: bad magic")
 	}
-	// The count line reuses Fscanf over a RuneScanner so its acceptance
-	// quirks (signs, spacing) match Read's byte for byte; the reader's
-	// remaining length then yields the exact resume offset.
+	// The reader's remaining length after the count line yields the exact
+	// offset the terms start at.
 	br := bytes.NewReader(b[len(magicHdr):])
 	var nSO, nP int
 	if _, err := fmt.Fscanf(br, "%d %d\n", &nSO, &nP); err != nil {
@@ -390,8 +339,9 @@ func View(b []byte) (*Dictionary, error) {
 	}
 	pos := len(b) - br.Len()
 	viewTerms := func(n int) ([]string, error) {
-		// Capacity grows by append for the same reason Read's does: a
-		// fabricated count must not force a huge allocation.
+		// Grow by append rather than trusting the header count with one
+		// up-front allocation: a fabricated count must not force a huge
+		// slice before the truncated input runs out.
 		out := make([]string, 0, min(n, 1<<16))
 		for i := 0; i < n; i++ {
 			rel := bytes.IndexByte(b[pos:], ':')

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/graph"
 )
@@ -98,25 +99,71 @@ func TestParseTSV(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	d, _ := Build(sample)
+// loaders are the two ways a serialized dictionary is loaded: Read on a
+// stream that arrives one byte at a time, and View on the bytes.
+var loaders = []struct {
+	name string
+	load func([]byte) (*Dictionary, error)
+}{
+	{"read", func(b []byte) (*Dictionary, error) { return Read(iotest.OneByteReader(bytes.NewReader(b))) }},
+	{"view", View},
+}
+
+// images are serialized dictionaries with plain and framing-hostile
+// terms, each with the dictionary it was written from.
+func images(t *testing.T) []struct {
+	want *Dictionary
+	img  []byte
+} {
+	t.Helper()
+	built, _ := Build(sample)
 	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
+	if _, err := built.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	hostile, hostileImg := serializedDict(t)
+	return []struct {
+		want *Dictionary
+		img  []byte
+	}{{built, buf.Bytes()}, {hostile, hostileImg}}
+}
+
+// checkSameTerms fails unless got has want's term table and encode maps
+// — built lazily on the first Encode — that invert it exactly.
+func checkSameTerms(t *testing.T, name string, got, want *Dictionary) {
+	t.Helper()
+	if got.NumSO() != want.NumSO() || got.NumP() != want.NumP() {
+		t.Fatalf("%s: sizes (%d,%d), want (%d,%d)", name, got.NumSO(), got.NumP(), want.NumSO(), want.NumP())
 	}
-	if got.NumSO() != d.NumSO() || got.NumP() != d.NumP() {
-		t.Fatal("sizes differ after round-trip")
-	}
-	for _, s := range []string{"bohr", "nobel", "thomson"} {
-		a, _ := d.EncodeSO(s)
-		b, ok := got.EncodeSO(s)
-		if !ok || a != b {
-			t.Errorf("EncodeSO(%q) differs after round-trip", s)
+	for _, pred := range []bool{false, true} {
+		n, encode := got.NumSO(), got.EncodeSO
+		if pred {
+			n, encode = got.NumP(), got.EncodeP
 		}
+		for id := graph.ID(0); id < n; id++ {
+			term, _ := want.Decode(id, pred)
+			if s, ok := got.Decode(id, pred); !ok || s != term {
+				t.Fatalf("%s: Decode(%d, %v) = %q, want %q", name, id, pred, s, term)
+			}
+			if back, ok := encode(term); !ok || back != id {
+				t.Fatalf("%s: Encode(%q) = %d,%v, want %d", name, term, back, ok, id)
+			}
+		}
+	}
+	if _, ok := got.EncodeSO("not-a-term"); ok {
+		t.Fatalf("%s: EncodeSO accepted an absent term", name)
+	}
+}
+
+// TestSerializationRoundTrip checks Read, on a stream that arrives one
+// byte at a time, against the dictionary each image was written from.
+func TestSerializationRoundTrip(t *testing.T) {
+	for _, tc := range images(t) {
+		got, err := Read(iotest.OneByteReader(bytes.NewReader(tc.img)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameTerms(t, "read", got, tc.want)
 	}
 }
 
@@ -154,24 +201,65 @@ func TestSerializationHostileTerms(t *testing.T) {
 	}
 }
 
+// corruptImages returns images every loader must reject — empty, junk,
+// bad magic, truncated, and forged or short term lengths — and the
+// hostile-term image with each of its bytes flipped in turn.
+func corruptImages(t *testing.T) (rejected, flipped [][]byte) {
+	t.Helper()
+	_, data := serializedDict(t)
+	badMagic := append([]byte(nil), data...)
+	badMagic[0] = 'X'
+	rejected = [][]byte{
+		{},
+		[]byte("junk"),
+		[]byte(strings.Repeat("x", len(magicHdr)+4)),
+		badMagic,
+		data[:len(magicHdr)],
+		data[:len(magicHdr)+3],
+		data[:len(data)-1],
+		data[:len(data)/2],
+		[]byte(magicHdr + "1 0\n99999999999999999999:x\n"),
+		[]byte(magicHdr + "-1 0\n"),
+		[]byte(magicHdr + "1 0\n3:ab\n"),
+	}
+	for i := range data {
+		c := append([]byte(nil), data...)
+		c[i] ^= 0x5A
+		flipped = append(flipped, c)
+	}
+	return rejected, flipped
+}
+
+// loadNoPanic loads c with the i-th loader, failing the test if loading,
+// or decoding and re-encoding every term of what it accepted, panics.
+func loadNoPanic(t *testing.T, i int, c []byte) (err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s on %q: panic: %v", loaders[i].name, c, r)
+		}
+	}()
+	d, err := loaders[i].load(c)
+	if err != nil {
+		return err
+	}
+	for id := graph.ID(0); id < d.NumSO(); id++ {
+		s, _ := d.DecodeSO(id)
+		d.EncodeSO(s)
+	}
+	return nil
+}
+
+// TestSerializationCorrupt checks that both loaders reject truncated,
+// mislabelled and forged images without panicking.
 func TestSerializationCorrupt(t *testing.T) {
-	d, _ := Build(sample)
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)-10])); err == nil {
-		t.Error("accepted truncated dictionary")
-	}
-	bad := append([]byte(nil), data...)
-	bad[0] = 'X'
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Error("accepted bad magic")
-	}
-	huge := []byte(magicHdr + "1 0\n99999999999999999999:x\n")
-	if _, err := Read(bytes.NewReader(huge)); err == nil {
-		t.Error("accepted oversized term length")
+	rejected, _ := corruptImages(t)
+	for i, l := range loaders {
+		for ci, c := range rejected {
+			if loadNoPanic(t, i, c) == nil {
+				t.Errorf("%s case %d: accepted %q", l.name, ci, c)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package dict
 
 import (
 	"bytes"
-	"strings"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 )
 
@@ -22,47 +22,33 @@ func serializedDict(t *testing.T) (*Dictionary, []byte) {
 	return d, buf.Bytes()
 }
 
-// TestViewMatchesRead checks the view loader against the reader on the
-// same image: identical term tables, and identical encode/decode
-// behavior once the lazy maps materialize.
+// TestViewMatchesRead checks View against Read on the same images:
+// identical term tables, and lazy encode maps that invert them exactly.
 func TestViewMatchesRead(t *testing.T) {
-	_, data := serializedDict(t)
-	rd, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	vd, err := View(data)
-	if err != nil {
-		t.Fatalf("View: %v", err)
-	}
-	if vd.NumSO() != rd.NumSO() || vd.NumP() != rd.NumP() {
-		t.Fatalf("sizes: view (%d,%d), read (%d,%d)", vd.NumSO(), vd.NumP(), rd.NumSO(), rd.NumP())
-	}
-	for id := 0; id < int(rd.NumSO()); id++ {
-		want, _ := rd.DecodeSO(uint32(id))
-		got, ok := vd.DecodeSO(uint32(id))
-		if !ok || got != want {
-			t.Fatalf("DecodeSO(%d): view %q, read %q", id, got, want)
+	for _, tc := range images(t) {
+		rd, err := Read(iotest.OneByteReader(bytes.NewReader(tc.img)))
+		if err != nil {
+			t.Fatalf("Read: %v", err)
 		}
-		// The lazy encode maps must invert the table exactly.
-		back, ok := vd.EncodeSO(want)
-		if !ok || int(back) != id {
-			t.Fatalf("EncodeSO(%q): view %d ok=%v, want %d", want, back, ok, id)
+		vd, err := View(tc.img)
+		if err != nil {
+			t.Fatalf("View: %v", err)
 		}
+		checkSameTerms(t, "view", vd, rd)
 	}
-	for id := 0; id < int(rd.NumP()); id++ {
-		want, _ := rd.DecodeP(uint32(id))
-		got, ok := vd.DecodeP(uint32(id))
-		if !ok || got != want {
-			t.Fatalf("DecodeP(%d): view %q, read %q", id, got, want)
+}
+
+// TestViewRejectsLikeRead feeds both loaders the same corrupted,
+// truncated and byte-flipped images: their accept/reject verdicts must
+// agree, and neither may panic.
+func TestViewRejectsLikeRead(t *testing.T) {
+	rejected, flipped := corruptImages(t)
+	for ci, c := range append(rejected, flipped...) {
+		errR := loadNoPanic(t, 0, c)
+		errV := loadNoPanic(t, 1, c)
+		if (errV == nil) != (errR == nil) {
+			t.Fatalf("case %d: verdicts disagree: view %v, read %v", ci, errV, errR)
 		}
-		back, ok := vd.EncodeP(want)
-		if !ok || int(back) != id {
-			t.Fatalf("EncodeP(%q): view %d ok=%v, want %d", want, back, ok, id)
-		}
-	}
-	if _, ok := vd.EncodeSO("not-a-term"); ok {
-		t.Fatal("EncodeSO accepted an absent term")
 	}
 }
 
@@ -109,40 +95,5 @@ func TestViewGrowsAfterLoad(t *testing.T) {
 	}
 	if got := vd.AddSO("zz-new-term"); got != id {
 		t.Fatalf("re-Add = %d, want %d", got, id)
-	}
-}
-
-// TestViewRejectsLikeRead feeds both loaders the same corrupted and
-// truncated images: their accept/reject verdicts must agree, and View
-// must never panic.
-func TestViewRejectsLikeRead(t *testing.T) {
-	_, data := serializedDict(t)
-	cases := [][]byte{
-		{},
-		[]byte("junk"),
-		[]byte(strings.Repeat("x", len(magicHdr)+4)),
-		data[:len(magicHdr)],
-		data[:len(magicHdr)+3],
-		data[:len(data)-1],
-		data[:len(data)/2],
-	}
-	for i := range data {
-		c := append([]byte(nil), data...)
-		c[i] ^= 0x5A
-		cases = append(cases, c)
-	}
-	for ci, c := range cases {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("case %d: View panicked: %v", ci, r)
-				}
-			}()
-			_, errV := View(c)
-			_, errR := Read(bytes.NewReader(c))
-			if (errV == nil) != (errR == nil) {
-				t.Fatalf("case %d: verdicts disagree: view %v, read %v", ci, errV, errR)
-			}
-		}()
 	}
 }

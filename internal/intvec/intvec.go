@@ -140,24 +140,15 @@ func (v *Vector) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// Read deserializes a vector written by WriteTo.
-func Read(r io.Reader) (*Vector, error) {
-	return Decode(bits.NewReaderSource(r, "intvec"))
-}
-
-// View deserializes a vector from an in-memory buffer, aliasing the
-// packed payload when possible. Returns the number of bytes consumed.
+// View deserializes a vector written by WriteTo from an in-memory
+// buffer, aliasing the packed payload when possible. Returns the number
+// of bytes consumed.
 func View(b []byte) (*Vector, int, error) {
-	src := bits.NewByteSource(b, "intvec")
-	v, err := Decode(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return v, src.Offset(), nil
+	return bits.View(b, "intvec", Decode)
 }
 
-// Decode deserializes a vector from any Source.
-func Decode(src bits.Source) (*Vector, error) {
+// Decode deserializes a vector at src's offset.
+func Decode(src *bits.ByteSource) (*Vector, error) {
 	hdr, err := src.U64s(4)
 	if err != nil {
 		return nil, err

@@ -77,7 +77,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if _, err := v.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, _, err := View(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +94,16 @@ func TestSerializationCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:10])); err == nil {
+	if _, _, err := View(data[:10]); err == nil {
 		t.Error("accepted truncated header")
 	}
 	bad := append([]byte(nil), data...)
 	bad[3] ^= 0x55
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
+	if _, _, err := View(bad); err == nil {
 		t.Error("accepted bad magic")
 	}
 	short := data[:len(data)-4]
-	if _, err := Read(bytes.NewReader(short)); err == nil {
+	if _, _, err := View(short); err == nil {
 		t.Error("accepted truncated data")
 	}
 }

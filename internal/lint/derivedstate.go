@@ -15,10 +15,12 @@ import (
 //     reference in a serializer means the derived state is being written
 //     to the stream, bloating the |G| + o(|G|) space claim and going
 //     stale on rebuild), and
-//  2. every deserializer returning the struct (the Read*/read*,
-//     Decode*/decode* and View*/view* families) must rebuild them —
-//     directly or through functions it calls — before handing the value
-//     out, or queries on a loaded index return wrong answers.
+//  2. every deserializer returning the struct (the Read*/read* entry
+//     points and the View*/view* and Decode*/decode* functions over a
+//     *bits.ByteSource they end in) must rebuild them — directly or
+//     through functions it calls or hands to a helper as a value —
+//     before handing the value out, or queries on a loaded index return
+//     wrong answers.
 type derivedstate struct{}
 
 func (derivedstate) Name() string { return "derivedstate" }
@@ -83,6 +85,15 @@ func (derivedstate) Run(pkg *Package) []Diagnostic {
 				case *ast.CallExpr:
 					if callee := calleeFunc(pkg, n); callee != nil && callee.Pkg() == pkg.Types {
 						ff.callees = append(ff.callees, callee)
+					}
+					// A same-package function passed as a value is called by
+					// the helper it is passed to (bits.View(b, "p", DecodePlain)).
+					for _, arg := range n.Args {
+						if id, ok := arg.(*ast.Ident); ok {
+							if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Pkg() == pkg.Types {
+								ff.callees = append(ff.callees, fn)
+							}
+						}
 					}
 				}
 				return true

@@ -31,9 +31,9 @@
 //
 //   - //ringlint:viewed
 //     On a struct field: the slice may alias a read-only memory mapping
-//     (populated by a View decoder through bits.Source.Words). No code
-//     may write through it — no index assignment, append, copy-into, or
-//     in-place mutator call (viewsafe analyzer).
+//     (populated by a View decoder through (*bits.ByteSource).Words). No
+//     code may write through it — no index assignment, append, copy-into,
+//     or in-place mutator call (viewsafe analyzer).
 //
 //   - //ringlint:allow <analyzer> [-- reason]
 //     On or immediately above a line: suppress that analyzer's findings

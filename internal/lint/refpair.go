@@ -217,8 +217,8 @@ func (w *rpWalker) stmt(s ast.Stmt, st *rpState) bool {
 }
 
 // merge unions a fall-through branch's live set into the enclosing
-// state (benchload acquires inside a switch case; ringstats inside an
-// if body).
+// state (an acquisition inside an if body or a switch case, as
+// ringstats and ringserve map their index inside an if body).
 func (w *rpWalker) merge(st, branch *rpState) {
 	for k, v := range branch.live {
 		st.live[k] = v

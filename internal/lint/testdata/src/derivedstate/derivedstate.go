@@ -31,6 +31,24 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return x, nil
 }
 
+// decodeIndex is the decoder a view helper is handed.
+func decodeIndex(data []uint64) (*Index, error) {
+	x := &Index{data: data}
+	x.rebuild()
+	return x, nil
+}
+
+// apply calls the decoder it is given, as bits.View does.
+func apply(data []uint64, decode func([]uint64) (*Index, error)) (*Index, error) {
+	return decode(data)
+}
+
+// ViewIndex hands its decoder to a helper as a value: negative case (a
+// function passed as an argument counts as called).
+func ViewIndex(data []uint64) (*Index, error) {
+	return apply(data, decodeIndex)
+}
+
 // ReadIndexBroken forgets the rebuild: positive case.
 func ReadIndexBroken(r io.Reader) (*Index, error) { // want "without rebuilding derived field samples"
 	return &Index{data: make([]uint64, 4)}, nil

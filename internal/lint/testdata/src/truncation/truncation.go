@@ -34,7 +34,7 @@ func readBroken(raw []uint64) int {
 }
 
 // decodeBroken narrows an untrusted word in the Decode* deserializer
-// family (bits.Source path): positive case.
+// family (the *bits.ByteSource decoders): positive case.
 func decodeBroken(raw []uint64) int {
 	return int(raw[0]) // want "unguarded uint64→int conversion"
 }

@@ -1,6 +1,7 @@
 // Package viewsafe is a ringlint test fixture: positive and negative
-// cases for the viewsafe analyzer. The source type mimics bits.Source —
-// its Words method may return a slice aliasing a read-only mapping.
+// cases for the viewsafe analyzer. The source type mimics
+// *bits.ByteSource — its Words method may return a slice aliasing a
+// read-only mapping.
 package viewsafe
 
 type source struct{ buf []uint64 }

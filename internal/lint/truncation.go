@@ -9,11 +9,12 @@ import (
 
 // truncation flags unguarded narrowing conversions of uint64 values —
 // bit positions, counts, header words — inside deserializers (the
-// Read*/read*, Decode*/decode* and View*/view* families), where the
-// uint64 comes from an untrusted stream or mapping. An unchecked
-// uint64→int/uint32 conversion silently wraps, turning a corrupt header
-// into out-of-range panics or, worse, structurally valid but wrong
-// directories (wrong answers, not crashes).
+// Read*/read* entry points and the View*/view* and Decode*/decode*
+// functions they end in, which walk one *bits.ByteSource), where the
+// uint64 comes from untrusted bytes: a file read whole or a mapping. An
+// unchecked uint64→int/uint32 conversion silently wraps, turning a
+// corrupt header into out-of-range panics or, worse, structurally valid
+// but wrong directories (wrong answers, not crashes).
 //
 // A conversion counts as guarded when
 //

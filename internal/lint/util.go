@@ -7,10 +7,11 @@ import (
 )
 
 // isDeserializerName reports whether name denotes a deserializer over
-// untrusted bytes: the io.Reader-based Read*/read* forms, and the
-// Decode*/decode* (bits.Source) and View*/view* (zero-copy mapping)
-// forms of the mmap load path. All three families parse attacker- or
-// corruption-controlled input and carry the same validation obligations.
+// untrusted bytes: the io.Reader-based Read*/read* entry points, the
+// View*/view* forms over a byte slice, and the Decode*/decode* forms
+// over a *bits.ByteSource that View* and Read* both end in. All three
+// families parse attacker- or corruption-controlled input and carry the
+// same validation obligations.
 func isDeserializerName(name string) bool {
 	for _, p := range []string{"Read", "read", "Decode", "decode", "View", "view"} {
 		if strings.HasPrefix(name, p) {

@@ -6,10 +6,10 @@ import (
 )
 
 // viewsafe enforces the zero-copy view contract: word slices handed out
-// by bits.Source.Words may alias a read-only file mapping (ViewPlain and
-// friends over an mmap'd index), so writing through them is at best a
-// silent corruption of shared pages and at worst a SIGSEGV. The analyzer
-// flags, for
+// by (*bits.ByteSource).Words may alias a read-only file mapping (every
+// index load is ViewPlain and friends over a mapping or a buffer read
+// whole), so writing through them is at best a silent corruption of
+// shared pages and at worst a SIGSEGV. The analyzer flags, for
 //
 //	(a) locals assigned from a .Words(...) call, and
 //	(b) selector expressions of struct fields annotated //ringlint:viewed
@@ -140,7 +140,7 @@ func checkViewsafe(pkg *Package, fd *ast.FuncDecl, viewedVars map[*types.Var]boo
 }
 
 // isWordsCall reports whether e is a method call named Words — the
-// bits.Source accessor whose result may alias the input buffer.
+// (*bits.ByteSource) accessor whose result may alias the input buffer.
 func isWordsCall(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {

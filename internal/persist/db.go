@@ -16,6 +16,7 @@ import (
 	"time"
 
 	wcoring "repro"
+	"repro/internal/bits"
 	"repro/internal/dict"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -36,10 +37,12 @@ type Options struct {
 	// only when Checkpoint is called. Tests use this for determinism.
 	NoBackground bool
 	// Mmap loads checkpointed ring files through read-only memory
-	// mappings (ring.View) instead of decoding them onto the heap, both
-	// at Open and when a checkpoint installs freshly written files. Load
-	// cost drops to rebuilding the o(n) rank/select directories and the
-	// bulk payload stays in the page cache, shared across processes.
+	// mappings instead of reading them into heap buffers, both at Open
+	// and when a checkpoint installs freshly written files. Either way the
+	// ring is viewed in place (ring.View) and only the o(n) rank/select
+	// directories are rebuilt; with Mmap the bulk payload stays in the
+	// page cache, shared across processes, and a checkpoint swaps the
+	// heap-built ring for its mapped file.
 	Mmap bool
 }
 
@@ -290,20 +293,52 @@ func readDictFile(dir string, ref fileRef) (*dict.Dictionary, error) {
 		return nil, err
 	}
 	defer f.Close()
-	d, err := dict.Read(bufio.NewReader(f))
+	d, err := dict.Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", ref.Name, err)
 	}
 	return d, nil
 }
 
+// readRingFile loads a checkpointed ring file onto the heap: the file is
+// read whole into an aligned buffer, which the ring's payloads alias.
 func readRingFile(dir string, ref ringRef) (*ring.Ring, error) {
 	f, err := os.Open(filepath.Join(dir, ref.Name))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r, err := ring.Read(bufio.NewReader(f))
+	b, err := bits.ReadAligned(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", ref.Name, err)
+	}
+	return viewRing(b, ref)
+}
+
+// viewRingFile maps a checkpointed ring file and loads it in place: the
+// bulk word payloads alias the mapping, only the rank/select directories
+// are rebuilt. The mapping's lifetime is tied to the ring with a
+// finalizer, so a query or pinned snapshot still iterating the ring after
+// a generation swap keeps the pages mapped until it lets go — the
+// refcounted unmap the live path relies on.
+func viewRingFile(dir string, ref ringRef) (*ring.Ring, *mman.Region, error) {
+	reg, err := mman.Map(filepath.Join(dir, ref.Name))
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := viewRing(reg.Bytes(), ref)
+	if err != nil {
+		reg.Release()
+		return nil, nil, err
+	}
+	runtime.SetFinalizer(r, func(*ring.Ring) { reg.Release() })
+	return r, reg, nil
+}
+
+// viewRing decodes a ring file's bytes, wherever they live, and checks
+// the ring against its manifest entry.
+func viewRing(b []byte, ref ringRef) (*ring.Ring, error) {
+	r, _, err := ring.View(b)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", ref.Name, err)
 	}
@@ -311,30 +346,6 @@ func readRingFile(dir string, ref ringRef) (*ring.Ring, error) {
 		return nil, fmt.Errorf("%w: %s holds %d triples, manifest says %d", ErrCorrupt, ref.Name, r.Len(), ref.Triples)
 	}
 	return r, nil
-}
-
-// viewRingFile maps a checkpointed ring file and view-loads it: the bulk
-// word payloads alias the mapping, only the rank/select directories are
-// rebuilt. The mapping's lifetime is tied to the ring with a finalizer,
-// so a query or pinned snapshot still iterating the ring after a
-// generation swap keeps the pages mapped until it lets go — the
-// refcounted unmap the live path relies on.
-func viewRingFile(dir string, ref ringRef) (*ring.Ring, *mman.Region, error) {
-	reg, err := mman.Map(filepath.Join(dir, ref.Name))
-	if err != nil {
-		return nil, nil, err
-	}
-	r, _, err := ring.View(reg.Bytes())
-	if err != nil {
-		reg.Release()
-		return nil, nil, fmt.Errorf("%s: %w", ref.Name, err)
-	}
-	if r.Len() != ref.Triples {
-		reg.Release()
-		return nil, nil, fmt.Errorf("%w: %s holds %d triples, manifest says %d", ErrCorrupt, ref.Name, r.Len(), ref.Triples)
-	}
-	runtime.SetFinalizer(r, func(*ring.Ring) { reg.Release() })
-	return r, reg, nil
 }
 
 // Close checkpoints, seals the WAL, and stops the background work. A

@@ -97,8 +97,8 @@ const (
 	cTagSparse = 2
 )
 
-// decodeCArray deserializes either representation from any Source.
-func decodeCArray(src bits.Source) (cArray, error) {
+// decodeCArray deserializes either representation at src's offset.
+func decodeCArray(src *bits.ByteSource) (cArray, error) {
 	hdr, err := src.U64s(1)
 	if err != nil {
 		return nil, err

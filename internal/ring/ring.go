@@ -351,27 +351,30 @@ func (r *Ring) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// Read deserializes a ring written by WriteTo.
+// Read deserializes a ring written by WriteTo. It consumes rd to EOF:
+// the stream is read whole into an 8-byte-aligned buffer and viewed, so
+// the ring's word payloads live in that one buffer.
 func Read(rd io.Reader) (*Ring, error) {
-	return Decode(bits.NewReaderSource(rd, "ring"))
-}
-
-// View deserializes a ring from an in-memory buffer — typically a
-// memory-mapped index file. The bulk word payloads of every zone
-// (wavelet levels, C arrays) alias b when the host is little-endian and
-// b is 8-byte aligned; only the o(n) rank/select directories are rebuilt
-// on the heap. Returns the number of bytes consumed.
-func View(b []byte) (*Ring, int, error) {
-	src := bits.NewByteSource(b, "ring")
-	r, err := Decode(src)
+	b, err := bits.ReadAligned(rd)
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("ring: %w", err)
 	}
-	return r, src.Offset(), nil
+	r, _, err := View(b)
+	return r, err
 }
 
-// Decode deserializes a ring from any Source.
-func Decode(src bits.Source) (*Ring, error) {
+// View deserializes a ring from an in-memory buffer — a memory-mapped
+// index file, or a stream Read has read whole. The bulk word payloads of
+// every zone (wavelet levels, C arrays) alias b when the host is
+// little-endian and b is 8-byte aligned; only the o(n) rank/select
+// directories are rebuilt on the heap. Returns the number of bytes
+// consumed.
+func View(b []byte) (*Ring, int, error) {
+	return bits.View(b, "ring", Decode)
+}
+
+// Decode deserializes a ring at src's offset.
+func Decode(src *bits.ByteSource) (*Ring, error) {
 	hdr, err := src.U64s(4)
 	if err != nil {
 		return nil, err

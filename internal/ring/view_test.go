@@ -2,10 +2,13 @@ package ring
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/testutil"
 )
 
@@ -20,9 +23,10 @@ func alignedCopy(data []byte, skew int) []byte {
 	return buf[off : off+len(data)]
 }
 
-// TestViewMatchesRead checks that the zero-copy view of a serialized
-// ring answers exactly like the copying reader, for every variant and
-// for both the aliased and the misaligned-fallback paths.
+// TestViewMatchesRead checks the three ways a serialized ring is loaded —
+// View on an aligned buffer (aliased), View on a misaligned one (copy
+// fallback), and Read on a stream that arrives one byte at a time — give
+// the same ring, for every variant.
 func TestViewMatchesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, tc := range bothVariants {
@@ -33,21 +37,38 @@ func TestViewMatchesRead(t *testing.T) {
 			t.Fatalf("%s: WriteTo: %v", tc.name, err)
 		}
 		data := buf.Bytes()
+		loads := map[string]func() (*Ring, error){
+			"read": func() (*Ring, error) { return Read(iotest.OneByteReader(bytes.NewReader(data))) },
+		}
 		for _, skew := range []int{0, 5} {
-			got, consumed, err := View(alignedCopy(data, skew))
-			if err != nil {
-				t.Fatalf("%s skew %d: View: %v", tc.name, skew, err)
+			loads[fmt.Sprintf("view-skew%d", skew)] = func() (*Ring, error) {
+				got, consumed, err := View(alignedCopy(data, skew))
+				if err == nil && consumed != len(data) {
+					err = fmt.Errorf("consumed %d of %d bytes", consumed, len(data))
+				}
+				return got, err
 			}
-			if consumed != len(data) {
-				t.Fatalf("%s skew %d: consumed %d of %d bytes", tc.name, skew, consumed, len(data))
+		}
+		for name, load := range loads {
+			got, err := load()
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, name, err)
 			}
 			if got.Len() != r.Len() || got.NumSO() != r.NumSO() || got.NumP() != r.NumP() {
-				t.Fatalf("%s skew %d: header mismatch", tc.name, skew)
+				t.Fatalf("%s %s: header mismatch", tc.name, name)
 			}
 			want := g.Triples()
 			for i := range want {
 				if got.Triple(i) != want[i] {
-					t.Fatalf("%s skew %d: Triple(%d) mismatch", tc.name, skew, i)
+					t.Fatalf("%s %s: Triple(%d) mismatch", tc.name, name, i)
+				}
+			}
+			for _, tp := range []graph.TriplePattern{
+				{S: graph.Var("x"), P: graph.Const(1), O: graph.Var("y")},
+				{S: graph.Const(3), P: graph.Var("p"), O: graph.Var("o")},
+			} {
+				if c, w := got.NewPatternState(tp).Count(), r.NewPatternState(tp).Count(); c != w {
+					t.Fatalf("%s %s: Count(%v) = %d, want %d", tc.name, name, tp, c, w)
 				}
 			}
 		}

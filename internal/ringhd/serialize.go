@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bits"
 	"repro/internal/intvec"
 	"repro/internal/wavelet"
 )
@@ -43,9 +44,16 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// Read deserializes an index written by WriteTo.
+// Read deserializes an index written by WriteTo. It consumes rd to EOF:
+// the stream is read whole into an 8-byte-aligned buffer that the
+// columns' and C arrays' word payloads then alias.
 func Read(rd io.Reader) (*Index, error) {
-	hdr, err := readU64s(rd, 5)
+	b, err := bits.ReadAligned(rd)
+	if err != nil {
+		return nil, fmt.Errorf("ringhd: %w", err)
+	}
+	src := bits.NewByteSource(b, "ringhd")
+	hdr, err := src.U64s(5)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +66,7 @@ func Read(rd io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("ringhd: corrupt header (d=%d n=%d rings=%d)", idx.d, idx.n, nRings)
 	}
 	for ri := 0; ri < nRings; ri++ {
-		cyc, err := readU64s(rd, idx.d)
+		cyc, err := src.U64s(idx.d)
 		if err != nil {
 			return nil, err
 		}
@@ -73,14 +81,14 @@ func Read(rd io.Reader) (*Index, error) {
 			r.zoneOf[a] = i
 		}
 		for j := 0; j < idx.d; j++ {
-			col, err := wavelet.Read(rd)
+			col, err := wavelet.Decode(src)
 			if err != nil {
 				return nil, fmt.Errorf("ringhd: ring %d zone %d column: %w", ri, j, err)
 			}
 			if col.Len() != idx.n {
 				return nil, errors.New("ringhd: zone length mismatch")
 			}
-			cArr, err := intvec.Read(rd)
+			cArr, err := intvec.Decode(src)
 			if err != nil {
 				return nil, fmt.Errorf("ringhd: ring %d zone %d C array: %w", ri, j, err)
 			}
@@ -105,18 +113,4 @@ func writeU64s(w io.Writer, total *int64, vs ...uint64) error {
 	n, err := w.Write(buf)
 	*total += int64(n)
 	return err
-}
-
-func readU64s(r io.Reader, n int) ([]uint64, error) {
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("ringhd: short read: %w", err)
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		for j := 0; j < 8; j++ {
-			vs[i] |= uint64(buf[8*i+j]) << (8 * j)
-		}
-	}
-	return vs, nil
 }

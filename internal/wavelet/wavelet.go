@@ -495,25 +495,15 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// Read deserializes a matrix written by WriteTo.
-func Read(r io.Reader) (*Matrix, error) {
-	return Decode(bits.NewReaderSource(r, "wavelet"))
-}
-
-// View deserializes a matrix from an in-memory buffer, aliasing each
-// level's word payload when possible. Returns the number of bytes
-// consumed.
+// View deserializes a matrix written by WriteTo from an in-memory
+// buffer, aliasing each level's word payload when possible. Returns the
+// number of bytes consumed.
 func View(b []byte) (*Matrix, int, error) {
-	src := bits.NewByteSource(b, "wavelet")
-	m, err := Decode(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, src.Offset(), nil
+	return bits.View(b, "wavelet", Decode)
 }
 
-// Decode deserializes a matrix from any Source.
-func Decode(src bits.Source) (*Matrix, error) {
+// Decode deserializes a matrix at src's offset.
+func Decode(src *bits.ByteSource) (*Matrix, error) {
 	hdr, err := src.U64s(4)
 	if err != nil {
 		return nil, err

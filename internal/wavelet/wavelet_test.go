@@ -271,9 +271,9 @@ func TestSerializationRoundTrip(t *testing.T) {
 		if _, err := m.WriteTo(&buf); err != nil {
 			t.Fatalf("%s: WriteTo: %v", tc.name, err)
 		}
-		got, err := Read(&buf)
+		got, _, err := View(buf.Bytes())
 		if err != nil {
-			t.Fatalf("%s: Read: %v", tc.name, err)
+			t.Fatalf("%s: View: %v", tc.name, err)
 		}
 		if got.Len() != m.Len() || got.Sigma() != m.Sigma() {
 			t.Fatalf("%s: header mismatch after round-trip", tc.name)
@@ -294,12 +294,12 @@ func TestSerializationCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)/3])); err == nil {
+	if _, _, err := View(data[:len(data)/3]); err == nil {
 		t.Error("accepted truncated stream")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 1
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
+	if _, _, err := View(bad); err == nil {
 		t.Error("accepted bad magic")
 	}
 }

@@ -7,7 +7,7 @@
 # end-to-end ringserve smoke (query, overload shedding, SIGTERM drain),
 # the live-update persistence smoke (insert, SIGKILL, WAL recovery,
 # checkpointed drain), the zero-copy mmap smoke (layout inspection,
-# decode-vs-mmap differential serving, live mode with view-loaded
+# heap bytes vs mapped bytes through one View, live mode with view-loaded
 # checkpoints), and the replication smoke (leader + follower, lag to
 # zero, read-your-writes via X-Ring-Min-Seq, leader kill + promote).
 # Equivalent to `make check`; kept as a script for environments
@@ -63,7 +63,7 @@ sh scripts/serve_smoke.sh
 echo "== persist smoke (live updates: insert, SIGKILL, recover, checkpoint)"
 sh scripts/persist_smoke.sh
 
-echo "== mmap smoke (zero-copy load: layout, decode-vs-mmap differential, live views)"
+echo "== mmap smoke (zero-copy load: layout, heap bytes vs mapped bytes through one View, live views)"
 sh scripts/mmap_smoke.sh
 
 echo "== repl smoke (replication: bootstrap, lag to zero, read-your-writes, promote)"

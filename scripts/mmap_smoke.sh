@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test for the zero-copy mmap load path: builds an
 # index, inspects its layout with ringstats -mmap, serves it with
-# ringserve -mmap and checks that query answers match a decode-mode
-# server exactly (including across a restart), and that the mmap
+# ringserve -mmap and checks that query answers match a heap-mode server
+# exactly (including across a restart) — heap bytes vs mapped bytes
+# through one View, the one fork left in loading — and that the mmap
 # observability surface (/metrics load mode + mapped bytes, /stats
 # mapped section) is present. Then exercises live mode with -mmap:
 # insert, SIGKILL, WAL recovery, graceful drain with a checkpoint, and a
@@ -93,7 +94,7 @@ case "$stats" in
     ;;
 esac
 
-echo "== mmap-smoke: decode-mode answer as the reference"
+echo "== mmap-smoke: heap-mode answer (file read into memory) as the reference"
 start_server -index "$TMP/graph.ring"
 want=$(static_answer)
 stop_server
@@ -105,12 +106,12 @@ case "$want" in
     ;;
 esac
 
-echo "== mmap-smoke: serve with -mmap, answers must match decode exactly"
+echo "== mmap-smoke: serve with -mmap, answers must match heap mode exactly"
 start_server -index "$TMP/graph.ring" -mmap
 got=$(static_answer)
 if [ "$got" != "$want" ]; then
-    echo "mmap-smoke: mmap answer differs from decode answer"
-    echo "decode: $want"
+    echo "mmap-smoke: mmap answer differs from heap-mode answer"
+    echo "heap:   $want"
     echo "mmap:   $got"
     exit 1
 fi

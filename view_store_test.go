@@ -37,10 +37,10 @@ func paperSolutions(t *testing.T, s *Store) []string {
 	return got
 }
 
-// TestViewStoreRoundTrip checks the mmap load path end to end: a viewed
-// store must answer queries exactly like the store decoded through
-// io.Reader, for the plain and compressed variants and for both the
-// aliased and the misaligned-fallback paths.
+// TestViewStoreRoundTrip checks the view load path end to end: a viewed
+// store must answer queries exactly like the store it was written from,
+// for the plain and compressed variants and for both the aliased and the
+// misaligned-fallback paths.
 func TestViewStoreRoundTrip(t *testing.T) {
 	for _, opt := range []Options{{}, {Compress: true}} {
 		store := nobelStore(t, opt)
@@ -91,8 +91,8 @@ func unpadStore(t *testing.T, data []byte) []byte {
 }
 
 // TestViewStoreLegacyUnpadded checks that pre-padding files — whose ring
-// section is not 8-byte aligned — still load through both paths, with
-// ViewStore silently taking the copy fallback.
+// section is not 8-byte aligned — still load through ReadStore and
+// ViewStore, both silently taking the copy fallback for the ring.
 func TestViewStoreLegacyUnpadded(t *testing.T) {
 	store := nobelStore(t, Options{})
 	var buf bytes.Buffer

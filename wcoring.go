@@ -40,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bits"
 	"repro/internal/dict"
 	"repro/internal/graph"
 	"repro/internal/ltj"
@@ -382,9 +383,9 @@ func (s *Store) Reach(src, path string) ([]string, error) {
 // length when the dictionary section is zero-padded to a multiple of 8
 // bytes. Padding keeps the ring section 8-byte aligned within the file,
 // which is what lets ViewStore alias the ring's word payloads straight
-// out of a memory mapping. Files written before the flag existed (no
-// padding, arbitrary alignment) remain readable: ViewStore falls back to
-// copying the words and ReadStore never cared.
+// out of a memory mapping or ReadStore's buffer. Files written before
+// the flag existed (no padding, arbitrary alignment) remain readable:
+// ViewStore falls back to copying the words.
 const storePadFlag = uint64(1) << 63
 
 // WriteTo serializes the store: a length-prefixed dictionary section
@@ -420,71 +421,42 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	return n + n2, err
 }
 
-// ReadStore deserializes a store written by WriteTo.
+// ReadStore deserializes a store written by WriteTo. It consumes r to
+// EOF: the stream is read whole into an 8-byte-aligned buffer and
+// viewed (ViewStore), so the dictionary's terms and the ring's word
+// payloads live in that one buffer.
 func ReadStore(r io.Reader) (*Store, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wcoring: short store header: %w", err)
-	}
-	raw := binary.LittleEndian.Uint64(hdr[:])
-	dictLen := raw &^ storePadFlag
-	if dictLen > 1<<40 {
-		return nil, errors.New("wcoring: implausible dictionary size")
-	}
-	// Grow the buffer as bytes actually arrive so a forged length on a
-	// short stream cannot trigger a huge allocation.
-	var dbuf bytes.Buffer
-	if n, err := io.CopyN(&dbuf, r, int64(dictLen)); err != nil || uint64(n) != dictLen {
-		return nil, fmt.Errorf("wcoring: short dictionary section: %w", err)
-	}
-	d, err := dict.Read(bytes.NewReader(dbuf.Bytes()))
+	b, err := bits.ReadAligned(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wcoring: %w", err)
 	}
-	if raw&storePadFlag != 0 {
-		pad := (8 - dictLen%8) % 8
-		if n, err := io.CopyN(io.Discard, r, int64(pad)); err != nil || uint64(n) != pad {
-			return nil, fmt.Errorf("wcoring: short dictionary padding: %w", err)
-		}
-	}
-	rg, err := ring.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{dict: d, ring: rg, n: rg.Len()}, nil
+	return ViewStore(b)
 }
 
-// ViewStore deserializes a store from an in-memory buffer, typically a
-// memory-mapped index file. The dictionary's term strings alias b and
-// its encode-side maps are deferred to the first query with a constant
-// (dict.View); the ring's bulk word payloads alias b whenever the ring
-// section is 8-byte aligned — which every file written by the current
-// WriteTo guarantees via dictionary padding. Unpadded legacy files still
-// load, falling back to copying the ring words.
+// ViewStore deserializes a store from an in-memory buffer: a
+// memory-mapped index file, or a stream ReadStore has read whole. The
+// dictionary's term strings alias b and its encode-side maps are
+// deferred to the first query with a constant (dict.View); the ring's
+// bulk word payloads alias b whenever the ring section is 8-byte aligned
+// — which every file written by the current WriteTo guarantees via
+// dictionary padding. Unpadded legacy files still load, falling back to
+// copying the ring words.
 //
 // b must stay valid (mapped, unmodified) for the lifetime of the
 // returned Store.
 func ViewStore(b []byte) (*Store, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("wcoring: short store header: %w", io.ErrUnexpectedEOF)
-	}
-	raw := binary.LittleEndian.Uint64(b)
-	dictLen := raw &^ storePadFlag
-	if dictLen > 1<<40 {
-		return nil, errors.New("wcoring: implausible dictionary size")
-	}
-	off := uint64(8) + dictLen
-	if raw&storePadFlag != 0 {
-		off += (8 - dictLen%8) % 8
-	}
-	if off > uint64(len(b)) {
-		return nil, fmt.Errorf("wcoring: short dictionary section: %w", io.ErrUnexpectedEOF)
-	}
-	d, err := dict.View(b[8 : 8+dictLen])
+	l, err := ReadStoreLayout(b)
 	if err != nil {
 		return nil, err
 	}
-	rg, _, err := ring.View(b[off:])
+	if l.RingOffset > int64(len(b)) {
+		return nil, fmt.Errorf("wcoring: short dictionary section: %w", io.ErrUnexpectedEOF)
+	}
+	d, err := dict.View(b[8 : 8+l.DictBytes])
+	if err != nil {
+		return nil, err
+	}
+	rg, _, err := ring.View(b[l.RingOffset:])
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +474,8 @@ type StoreLayout struct {
 }
 
 // ReadStoreLayout parses just the store header of b (a full file is not
-// required; 8 bytes suffice).
+// required; 8 bytes suffice). It is the store header's one parser:
+// ViewStore loads through it.
 func ReadStoreLayout(b []byte) (StoreLayout, error) {
 	if len(b) < 8 {
 		return StoreLayout{}, fmt.Errorf("wcoring: short store header: %w", io.ErrUnexpectedEOF)
