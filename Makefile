@@ -4,11 +4,12 @@
 #   make fmt    gofmt -s diff check (fails listing unformatted files)
 #   make vet    go vet
 #   make lint   ringlint, the repo-specific static analyzers (hotpath,
-#               derivedstate, forksafe, truncation, viewsafe, guardedby,
-#               golife, refpair, syncio, ctxflow) over the whole module,
-#               with per-analyzer wall times
+#               derivedstate, truncation, viewsafe, guardedby, golife,
+#               refpair, syncio, ctxflow) over the whole module, with
+#               per-analyzer wall times
 #   make lint-only ONLY=<a,b>  a subset of the analyzers (iterating on
-#               one analyzer or an annotation pass)
+#               one analyzer or an annotation pass); an unknown name
+#               fails
 #   make build  compile everything
 #   make test   full test suite, shuffled (includes the fuzz seed corpora)
 #   make test-debug  internal packages with the ringdebug assertion tag
@@ -21,7 +22,8 @@
 #                         bit-rotted benchmarks without paying full runs)
 #   make bench-substrate  the rank/select substrate microbenchmarks
 #                         (bits, bitvector, wavelet, ring Leap/Bind);
-#                         benchstat-friendly: set BENCH_COUNT>=10 to compare
+#                         benchstat-friendly: set BENCH_COUNT>=10 to compare;
+#                         records nothing (ringbench's per-layer rows do)
 #   make serve-smoke      end-to-end ringserve smoke: build, index, serve,
 #                         query, overload shedding, SIGTERM drain
 #   make persist-smoke    end-to-end live-update smoke: insert over HTTP,

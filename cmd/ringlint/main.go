@@ -2,8 +2,7 @@
 // internal/lint over the module: hotpath (annotated leap/rank/select
 // paths must stay allocation- and dispatch-free), derivedstate (derived
 // select/rank directories are never serialized and always rebuilt on
-// load), forksafe (Fork implementations must not share mutable state),
-// truncation (uint64 header values must be range-checked before
+// load), truncation (uint64 header values must be range-checked before
 // narrowing in deserializers), viewsafe (mmap-backed views must not
 // write through their byte slices), guardedby (//ringlint:guarded-by
 // fields are only touched with their mutex held), golife (every
@@ -24,7 +23,8 @@
 // module (the CI lane), a directory path loads that single package (how
 // the analyzer fixtures are exercised). With no arguments, "./..." is
 // assumed. Exits 1 when any diagnostic is reported, printing one
-// file:line:col: [analyzer] message line each. -timing appends a
+// file:line:col: [analyzer] message line each, and 2 when -only names an
+// analyzer the suite does not have. -timing appends a
 // per-analyzer wall-time table (the analyzers run in parallel, so the
 // lane cost is the slowest one, not the sum). -json emits a machine
 // readable report {findings, timings} instead of plain lines.
@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -74,23 +73,10 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	analyzers := lint.Analyzers()
-	if *only != "" {
-		keep := make(map[string]bool)
-		for _, name := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(name)] = true
-		}
-		var filtered []lint.Analyzer
-		for _, a := range analyzers {
-			if keep[a.Name()] {
-				filtered = append(filtered, a)
-			}
-		}
-		if len(filtered) == 0 {
-			fmt.Fprintf(os.Stderr, "ringlint: no analyzer matches -only=%s\n", *only)
-			os.Exit(2)
-		}
-		analyzers = filtered
+	analyzers, err := lint.Select(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ringlint: -only: %v\n", err)
+		os.Exit(2)
 	}
 
 	cwd, err := os.Getwd()

@@ -85,7 +85,7 @@ func (idx *Index) NewPatternIter(tp graph.TriplePattern) ltj.PatternIter {
 // prefix sequence, so the iterator can hop between trees as new positions
 // are bound.
 type patternIter struct {
-	idx    *Index //ringlint:shared-immutable -- the six trees are immutable after construction
+	idx    *Index
 	prefix []graph.Position
 	vals   []graph.ID
 	lo, hi int
@@ -158,19 +158,6 @@ func (it *patternIter) Bind(pos graph.Position, c graph.ID) {
 	it.lo, it.hi = nlo, nhi
 	it.prefix = append(it.prefix, pos)
 	it.vals = append(it.vals, c)
-}
-
-// Fork returns an independent copy for parallel evaluation: the cursor is
-// cloned with its own backing arrays, the six trees are shared read-only.
-func (it *patternIter) Fork() ltj.PatternIter {
-	return &patternIter{
-		idx:    it.idx,
-		prefix: append([]graph.Position(nil), it.prefix...),
-		vals:   append([]graph.ID(nil), it.vals...),
-		frames: append([]frame(nil), it.frames...),
-		lo:     it.lo,
-		hi:     it.hi,
-	}
 }
 
 func (it *patternIter) Unbind() {

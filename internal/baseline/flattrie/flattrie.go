@@ -110,7 +110,7 @@ func (idx *Index) NewPatternIter(tp graph.TriplePattern) ltj.PatternIter {
 // the matching triples then form a contiguous range of that trie found by
 // binary search.
 type patternIter struct {
-	idx    *Index           //ringlint:shared-immutable -- the six sorted arrays are immutable after construction
+	idx    *Index
 	prefix []graph.Position // bound positions in binding order
 	vals   []graph.ID       // their values
 	frames []fframe
@@ -171,20 +171,6 @@ func (it *patternIter) Bind(pos graph.Position, c graph.ID) {
 	it.lo, it.hi = searchLevel(arr, lo, hi, pos, c)
 	it.prefix = append(it.prefix, pos)
 	it.vals = append(it.vals, c)
-}
-
-// Fork returns an independent copy for parallel evaluation: the cursor
-// (prefix, values, range, frame stack) is cloned with its own backing
-// arrays, the six sorted triple arrays are shared read-only.
-func (it *patternIter) Fork() ltj.PatternIter {
-	return &patternIter{
-		idx:    it.idx,
-		prefix: append([]graph.Position(nil), it.prefix...),
-		vals:   append([]graph.ID(nil), it.vals...),
-		frames: append([]fframe(nil), it.frames...),
-		lo:     it.lo,
-		hi:     it.hi,
-	}
 }
 
 func (it *patternIter) Unbind() {

@@ -68,7 +68,7 @@ func (idx *Index) NewPatternIter(tp graph.TriplePattern) ltj.PatternIter {
 // recomputed by anchoring the bound set in whichever cyclic order covers
 // it (O(d log U) per operation, the unidirectional regime's price).
 type patternIter struct {
-	idx   *Index //ringlint:shared-immutable -- the d-ary ring is immutable after construction
+	idx   *Index
 	bound map[int]ringhd.Value
 	order []int // bind order, for Unbind
 }
@@ -99,20 +99,6 @@ func (it *patternIter) Unbind() {
 	a := it.order[len(it.order)-1]
 	it.order = it.order[:len(it.order)-1]
 	delete(it.bound, a)
-}
-
-// Fork returns an independent copy for parallel evaluation: the bound-set
-// map and bind order are cloned, the d-ary ring is shared read-only.
-func (it *patternIter) Fork() ltj.PatternIter {
-	cp := &patternIter{
-		idx:   it.idx,
-		bound: make(map[int]ringhd.Value, len(it.bound)),
-		order: append([]int(nil), it.order...),
-	}
-	for k, v := range it.bound {
-		cp.bound[k] = v
-	}
-	return cp
 }
 
 // CanEnumerate is always false: the unidirectional index has no

@@ -742,23 +742,6 @@ func (u *unionIter) Unbind() {
 	}
 }
 
-// Fork forks every component (flat-trie memtable and ring iterators are
-// all forkable); if some component cannot fork it returns nil, telling
-// the engine to rebuild the union iterator from the pattern instead.
-func (u *unionIter) Fork() ltj.PatternIter {
-	cp := &unionIter{parts: make([]ltj.PatternIter, len(u.parts))}
-	for i, p := range u.parts {
-		f, ok := p.(ltj.ForkableIter)
-		if !ok {
-			return nil
-		}
-		if cp.parts[i] = f.Fork(); cp.parts[i] == nil {
-			return nil
-		}
-	}
-	return cp
-}
-
 // CanEnumerate requires every non-empty component to support enumeration
 // at pos; the union is then a sorted merge.
 func (u *unionIter) CanEnumerate(pos graph.Position) bool {

@@ -14,9 +14,6 @@ package lint
 //     its owner) joins via wg.Wait();
 //   - ends by signalling completion: its last statement is a channel
 //     send or close, which the spawner (or a sibling) receives;
-//   - blocks on a done channel the spawning function closes — the
-//     bounded-watchdog idiom: `select { ...; case <-watchDone: }` with
-//     `defer close(watchDone)` in the spawner;
 //   - is a same-package named function satisfying the WaitGroup rule
 //     (`go w.commitLoop()` where commitLoop defers wg.Done()).
 //
@@ -26,7 +23,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -53,11 +49,11 @@ func (golife) Run(pkg *Package) []Diagnostic {
 				if _, ok := exceptions[fileLine{pos.Filename, pos.Line}]; ok {
 					return true
 				}
-				if goTracked(pkg, gs, fd.Body) {
+				if goTracked(pkg, gs) {
 					return true
 				}
 				diags = append(diags, diag(pkg, "golife", gs,
-					"goroutine has no tracked termination path (WaitGroup Done, completion send/close, or a done channel the spawner closes); annotate //ringlint:goroutine-exception -- reason if fire-and-forget is intended"))
+					"goroutine has no tracked termination path (WaitGroup Done or completion send/close); annotate //ringlint:goroutine-exception -- reason if fire-and-forget is intended"))
 				return true
 			})
 		}
@@ -67,18 +63,9 @@ func (golife) Run(pkg *Package) []Diagnostic {
 
 // goTracked classifies one go statement against the tracked-termination
 // rules.
-func goTracked(pkg *Package, gs *ast.GoStmt, spawner *ast.BlockStmt) bool {
+func goTracked(pkg *Package, gs *ast.GoStmt) bool {
 	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-		if bodyDefersWaitGroupDone(pkg, lit.Body) {
-			return true
-		}
-		if endsWithCompletionSignal(lit.Body) {
-			return true
-		}
-		if blocksOnSpawnerClosedChannel(pkg, lit.Body, spawner) {
-			return true
-		}
-		return false
+		return bodyDefersWaitGroupDone(pkg, lit.Body) || endsWithCompletionSignal(lit.Body)
 	}
 	// go f() / go x.f(): resolve the callee in this package and apply the
 	// WaitGroup rule to its body.
@@ -154,44 +141,4 @@ func endsWithCompletionSignal(body *ast.BlockStmt) bool {
 		}
 	}
 	return false
-}
-
-// blocksOnSpawnerClosedChannel matches the bounded-watchdog idiom: the
-// goroutine receives (typically in a select) from a channel variable the
-// spawning function closes, usually via defer.
-func blocksOnSpawnerClosedChannel(pkg *Package, body *ast.BlockStmt, spawner *ast.BlockStmt) bool {
-	received := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		ue, ok := n.(*ast.UnaryExpr)
-		if !ok || ue.Op != token.ARROW {
-			return true
-		}
-		if id, ok := ue.X.(*ast.Ident); ok {
-			if obj := pkg.Info.Uses[id]; obj != nil {
-				received[obj] = true
-			}
-		}
-		return true
-	})
-	if len(received) == 0 {
-		return false
-	}
-	closed := false
-	ast.Inspect(spawner, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "close" || len(call.Args) != 1 {
-			return true
-		}
-		if argID, ok := call.Args[0].(*ast.Ident); ok {
-			if obj := pkg.Info.Uses[argID]; obj != nil && received[obj] {
-				closed = true
-			}
-		}
-		return true
-	})
-	return closed
 }

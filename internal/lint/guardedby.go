@@ -27,14 +27,11 @@ package lint
 //     composite literal assigned to a local) are exempt: the object is
 //     not shared yet.
 //
-// The guard argument is either a sibling field name ("mu": a.mu guards
-// a.used, matched by receiver expression) or Type.field naming another
-// struct's mutex in the same package (any holder qualifies — a
-// registry lock guarding the records it owns).
-// The walk does not distinguish read from write locks: an RLock holder
-// may read and — per this analyzer — write; write-under-RLock is left to
-// the race detector lane. Reviewed lock-free fast paths carry
-// //ringlint:allow guardedby -- reason.
+// The guard argument is a sibling field name ("mu": a.mu guards a.used,
+// matched by receiver expression). The walk does not distinguish read
+// from write locks: an RLock holder may read and — per this analyzer —
+// write; write-under-RLock is left to the race detector lane. Reviewed
+// lock-free fast paths carry //ringlint:allow guardedby -- reason.
 
 import (
 	"go/ast"
@@ -46,23 +43,15 @@ type guardedby struct{}
 
 func (guardedby) Name() string { return "guardedby" }
 
-// gbGuard is the mutex protecting one annotated field.
-type gbGuard struct {
-	mu      *types.Var
-	muName  string // rendered for diagnostics, e.g. "mu" or "registry.mu"
-	sibling bool   // sibling field: lock receiver must match access base
-}
-
 // gbHeld is one held mutex: the mutex field plus the expression it was
-// locked through ("" for entries seeded by the Locked convention on
-// cross-struct guards).
+// locked through.
 type gbHeld struct {
 	mu   *types.Var
 	base string
 }
 
 func (guardedby) Run(pkg *Package) []Diagnostic {
-	g := &gbAnalysis{pkg: pkg, guards: map[*types.Var]gbGuard{}, structGuards: map[*types.Named][]gbGuard{}, mus: map[*types.Var]bool{}}
+	g := &gbAnalysis{pkg: pkg, guards: map[*types.Var]*types.Var{}, structGuards: map[*types.Named][]*types.Var{}, mus: map[*types.Var]bool{}}
 	g.collect()
 	if len(g.guards) == 0 {
 		return nil
@@ -80,9 +69,9 @@ func (guardedby) Run(pkg *Package) []Diagnostic {
 
 type gbAnalysis struct {
 	pkg          *Package
-	guards       map[*types.Var]gbGuard     // annotated field -> its guard
-	structGuards map[*types.Named][]gbGuard // owner struct -> guards of its annotated fields
-	mus          map[*types.Var]bool        // every mutex acting as a guard
+	guards       map[*types.Var]*types.Var     // annotated field -> its sibling mutex field
+	structGuards map[*types.Named][]*types.Var // owner struct -> mutexes guarding its annotated fields
+	mus          map[*types.Var]bool           // every mutex acting as a guard
 	diags        []Diagnostic
 }
 
@@ -120,14 +109,14 @@ func (g *gbAnalysis) collect() {
 					guard, ok := g.resolveGuard(arg, st)
 					if !ok {
 						g.diags = append(g.diags, diag(g.pkg, "guardedby", field,
-							"cannot resolve guard %q: want a sibling mutex field or Type.field in this package", arg))
+							"cannot resolve guard %q: want a sibling mutex field", arg))
 						continue
 					}
 					for _, name := range field.Names {
 						if v, ok := g.pkg.Info.Defs[name].(*types.Var); ok {
 							g.guards[v] = guard
 							g.structGuards[named] = append(g.structGuards[named], guard)
-							g.mus[guard.mu] = true
+							g.mus[guard] = true
 						}
 					}
 				}
@@ -136,35 +125,19 @@ func (g *gbAnalysis) collect() {
 	}
 }
 
-// resolveGuard maps a guarded-by argument to the mutex field it names:
-// a sibling field of owner, or Type.field elsewhere in the package.
-func (g *gbAnalysis) resolveGuard(arg string, owner *ast.StructType) (gbGuard, bool) {
-	if typeName, fieldName, qualified := strings.Cut(arg, "."); qualified {
-		obj := g.pkg.Types.Scope().Lookup(typeName)
-		if obj == nil {
-			return gbGuard{}, false
-		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			return gbGuard{}, false
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i).Name() == fieldName {
-				return gbGuard{mu: st.Field(i), muName: arg, sibling: false}, true
-			}
-		}
-		return gbGuard{}, false
-	}
+// resolveGuard maps a guarded-by argument to the sibling field of owner
+// it names.
+func (g *gbAnalysis) resolveGuard(arg string, owner *ast.StructType) (*types.Var, bool) {
 	for _, field := range owner.Fields.List {
 		for _, name := range field.Names {
 			if name.Name == arg {
 				if v, ok := g.pkg.Info.Defs[name].(*types.Var); ok {
-					return gbGuard{mu: v, muName: arg, sibling: true}, true
+					return v, true
 				}
 			}
 		}
 	}
-	return gbGuard{}, false
+	return nil, false
 }
 
 // fieldDirectiveArgs is fieldDirective with the directive's arguments.
@@ -206,51 +179,24 @@ func (g *gbAnalysis) seedHeld(fd *ast.FuncDecl, arg string, held map[gbHeld]bool
 	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 		recvName = fd.Recv.List[0].Names[0].Name
 	}
-	if arg != "" {
-		if named := recvNamed(fd, g.pkg); named != nil {
-			if st, ok := named.Underlying().(*types.Struct); ok {
-				if guard, ok := g.resolveGuardForSeed(arg, st); ok {
-					base := ""
-					if guard.sibling {
-						base = recvName
-					}
-					held[gbHeld{guard.mu, base}] = true
-					return
-				}
-			}
-		}
-		// Type.field form works without a receiver.
-		if guard, ok := g.resolveGuard(arg, &ast.StructType{Fields: &ast.FieldList{}}); ok {
-			held[gbHeld{guard.mu, ""}] = true
-		}
-		return
-	}
 	named := recvNamed(fd, g.pkg)
 	if named == nil {
 		return
 	}
-	for _, guard := range g.structGuards[named] {
-		base := ""
-		if guard.sibling {
-			base = recvName
+	if arg != "" {
+		// No AST for the receiver here: find the sibling through go/types.
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Name() == arg {
+					held[gbHeld{st.Field(i), recvName}] = true
+				}
+			}
 		}
-		held[gbHeld{guard.mu, base}] = true
+		return
 	}
-}
-
-// resolveGuardForSeed resolves a locked-directive argument against a
-// receiver struct's type (no AST available, so sibling lookup goes
-// through go/types).
-func (g *gbAnalysis) resolveGuardForSeed(arg string, st *types.Struct) (gbGuard, bool) {
-	if strings.Contains(arg, ".") {
-		return g.resolveGuard(arg, &ast.StructType{Fields: &ast.FieldList{}})
+	for _, mu := range g.structGuards[named] {
+		held[gbHeld{mu, recvName}] = true
 	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == arg {
-			return gbGuard{mu: st.Field(i), muName: arg, sibling: true}, true
-		}
-	}
-	return gbGuard{}, false
 }
 
 // freshObjects collects locals the function itself constructs from a
@@ -444,7 +390,7 @@ func (w *gbWalker) checkAccess(sel *ast.SelectorExpr, held map[gbHeld]bool) {
 	if fv == nil {
 		return
 	}
-	guard, guarded := w.a.guards[fv]
+	mu, guarded := w.a.guards[fv]
 	if !guarded {
 		return
 	}
@@ -453,19 +399,11 @@ func (w *gbWalker) checkAccess(sel *ast.SelectorExpr, held map[gbHeld]bool) {
 			return // constructed here, not yet shared
 		}
 	}
-	if guard.sibling {
-		if held[gbHeld{guard.mu, types.ExprString(sel.X)}] {
-			return
-		}
-	} else {
-		for h := range held {
-			if h.mu == guard.mu {
-				return
-			}
-		}
+	if held[gbHeld{mu, types.ExprString(sel.X)}] {
+		return
 	}
 	w.a.diags = append(w.a.diags, diag(w.a.pkg, "guardedby", sel,
-		"access to %s.%s without holding %s (//ringlint:guarded-by)", types.ExprString(sel.X), sel.Sel.Name, guard.muName))
+		"access to %s.%s without holding %s (//ringlint:guarded-by)", types.ExprString(sel.X), sel.Sel.Name, mu.Name()))
 }
 
 // fieldVar resolves a selector to the struct field it reads, or nil.

@@ -2,8 +2,7 @@
 // suite behind `make lint` (driver: cmd/ringlint). The succinct substrate
 // carries invariants the Go compiler cannot check — derived select/rank
 // directories must never be serialized and must be rebuilt on load, hot
-// leap/rank/select paths must stay allocation- and dispatch-free, Fork()
-// implementations must not share mutable state across goroutines, and
+// leap/rank/select paths must stay allocation- and dispatch-free, and
 // untrusted uint64 header values must be range-checked before narrowing.
 // Each analyzer encodes one of these contracts; together with the
 // `ringdebug` runtime assertion layer they catch the bug class that
@@ -25,10 +24,6 @@
 //     touch it, and every Read* deserializer returning the struct must
 //     (transitively) rebuild it.
 //
-//   - //ringlint:shared-immutable
-//     On a struct field: Fork() may share this reference-typed field
-//     between forks because the pointee is immutable after construction.
-//
 //   - //ringlint:viewed
 //     On a struct field: the slice may alias a read-only memory mapping
 //     (populated by a View decoder through (*bits.ByteSource).Words). No
@@ -44,12 +39,10 @@
 //
 //   - //ringlint:guarded-by <mu>
 //     On a struct field: every read or write of the field must happen
-//     while <mu> is held. <mu> is either a sibling mutex field of the
-//     same struct (the lock receiver must syntactically match the access
-//     base: a.mu guards a.used) or Type.field naming another struct's
-//     mutex in the same package (any holder qualifies — used when a
-//     registry lock guards the records it owns). Reviewed lock-free fast
-//     paths carry //ringlint:allow guardedby -- reason. (guardedby)
+//     while <mu> is held. <mu> is a sibling mutex field of the same
+//     struct, and the lock receiver must syntactically match the access
+//     base: a.mu guards a.used. Reviewed lock-free fast paths carry
+//     //ringlint:allow guardedby -- reason. (guardedby)
 //
 //   - //ringlint:locked [<mu>]
 //     On a function's doc comment: the caller holds <mu> (default: every
@@ -60,8 +53,8 @@
 //   - //ringlint:goroutine-exception -- reason
 //     On or immediately above a go statement: the goroutine is reviewed
 //     fire-and-forget. Without it, every go statement needs a tracked
-//     termination path — a WaitGroup Done, a completion send/close, or a
-//     done channel the spawner closes. (golife)
+//     termination path — a WaitGroup Done or a completion send/close.
+//     (golife)
 //
 //   - //ringlint:transfer <var> -- reason
 //     Inside a function: ownership of the named acquired resource
@@ -112,9 +105,40 @@ type Analyzer interface {
 // Analyzers returns the full ringlint suite.
 func Analyzers() []Analyzer {
 	return []Analyzer{
-		hotpath{}, derivedstate{}, forksafe{}, truncation{}, viewsafe{},
+		hotpath{}, derivedstate{}, truncation{}, viewsafe{},
 		guardedby{}, golife{}, refpair{}, syncio{}, ctxflow{},
 	}
+}
+
+// Select returns the analyzers named in a comma-separated list, in suite
+// order; an empty list selects the whole suite. A name that is no
+// analyzer's is an error, so a stale or misspelt name cannot quietly
+// shrink a lint run.
+func Select(names string) ([]Analyzer, error) {
+	all := Analyzers()
+	if strings.TrimSpace(names) == "" {
+		return all, nil
+	}
+	keep := make(map[string]bool)
+	for _, name := range strings.Split(names, ",") {
+		keep[strings.TrimSpace(name)] = true
+	}
+	var out []Analyzer
+	for _, a := range all {
+		if keep[a.Name()] {
+			out = append(out, a)
+			delete(keep, a.Name())
+		}
+	}
+	if len(keep) > 0 {
+		unknown := make([]string, 0, len(keep))
+		for name := range keep {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown analyzer %s", strings.Join(unknown, ", "))
+	}
+	return out, nil
 }
 
 // Timing is one analyzer's wall-clock cost over a run, reported by

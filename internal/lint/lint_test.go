@@ -65,7 +65,7 @@ func analyzerByName(t *testing.T, name string) Analyzer {
 // marked line with a matching message.
 func TestFixtures(t *testing.T) {
 	for _, name := range []string{
-		"hotpath", "derivedstate", "forksafe", "truncation", "viewsafe",
+		"hotpath", "derivedstate", "truncation", "viewsafe",
 		"guardedby", "golife", "refpair", "syncio", "ctxflow",
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -101,6 +101,46 @@ func TestFixtures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSelect pins ringlint -only's filter: an empty list is the whole
+// suite, known names select exactly those analyzers in suite order, and
+// any unknown name — alone or among valid ones — is an error naming it.
+func TestSelect(t *testing.T) {
+	var all []string
+	for _, a := range Analyzers() {
+		all = append(all, a.Name())
+	}
+	for _, tc := range []struct {
+		names   string
+		want    []string
+		unknown string // non-empty: Select must fail and name it
+	}{
+		{names: "", want: all},
+		{names: strings.Join(all, ","), want: all},
+		{names: "syncio, guardedby", want: []string{"guardedby", "syncio"}},
+		{names: "nosuch", unknown: `"nosuch"`},
+		{names: "guardedby,nosuch", unknown: `"nosuch"`},
+	} {
+		got, err := Select(tc.names)
+		if tc.unknown != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.unknown) {
+				t.Errorf("Select(%q) = %d analyzers, %v; want an error naming %s", tc.names, len(got), err, tc.unknown)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Select(%q): %v", tc.names, err)
+			continue
+		}
+		var names []string
+		for _, a := range got {
+			names = append(names, a.Name())
+		}
+		if strings.Join(names, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("Select(%q) = %v, want %v", tc.names, names, tc.want)
+		}
 	}
 }
 

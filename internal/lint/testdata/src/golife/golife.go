@@ -44,17 +44,6 @@ func completionClose() {
 	<-done
 }
 
-func watchdog() {
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() { // negative: bounded by the spawner's close(stop)
-		select {
-		case <-stop:
-		}
-	}()
-	work()
-}
-
 type looper struct{ wg sync.WaitGroup }
 
 func (l *looper) loop() {

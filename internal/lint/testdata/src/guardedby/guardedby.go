@@ -10,17 +10,6 @@ type counterSet struct {
 	m  map[string]int
 }
 
-// registry guards the records it owns: record fields name the registry
-// type's mutex.
-type registry struct {
-	mu   sync.Mutex
-	recs map[string]*record
-}
-
-type record struct {
-	members int //ringlint:guarded-by registry.mu
-}
-
 func unlocked(c *counterSet) int {
 	return c.n // want "access to c.n without holding mu"
 }
@@ -74,13 +63,6 @@ func (c *counterSet) bump() {
 //ringlint:locked mu
 func (c *counterSet) bumpAnnotated() {
 	c.n++ // negative: //ringlint:locked declares the caller's lock
-}
-
-func crossGuard(r *registry, rec *record) {
-	rec.members++ // want "access to rec.members without holding registry.mu"
-	r.mu.Lock()
-	rec.members++ // negative: the owning registry's lock is held
-	r.mu.Unlock()
 }
 
 func constructor() *counterSet {

@@ -7,9 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline/btreeltj"
-	"repro/internal/baseline/flattrie"
-	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/ltj"
 	"repro/internal/ring"
@@ -53,9 +50,8 @@ func (it countingRunLeaper) LeapRun(pos graph.Position) (wavelet.MatrixRange, bo
 	return it.Iter.(trieiter.RunLeaper).LeapRun(pos)
 }
 
-// counting wraps every iterator idx hands out. The wrappers are not
-// Forkable, so parallel workers rebuild theirs through this function and
-// are counted too.
+// counting wraps every iterator idx hands out. Parallel workers open
+// their iterators through the index too, so theirs are counted as well.
 func counting(idx ltj.Index, lastVar string, n *bindCounts) ltj.Index {
 	return ltj.IndexFunc(func(tp graph.TriplePattern) ltj.PatternIter {
 		it := &countingIter{Iter: idx.NewPatternIter(tp), n: n}
@@ -79,25 +75,7 @@ func TestLastVariableBindElision(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := testutil.RandomGraph(rng, 1200, 30, 3)
 	ts := g.Triples()
-	st := dynamic.FromGraph(graph.NewWithDomains(ts[:800], g.NumSO(), g.NumP()), dynamic.Options{})
-	defer st.Close()
-	st.AddBatch(ts[800:]) // stays in the memtable: ring ∪ flat trie
-	snap := st.Snapshot()
-	if snap.MemtableLen() == 0 || len(snap.Rings()) == 0 {
-		t.Fatalf("dynamic snapshot is not a union: %d buffered, %d rings", snap.MemtableLen(), len(snap.Rings()))
-	}
-
-	plain, compressed := ring.New(g, ring.Options{}), ring.New(g, ring.Options{Compress: true, RRRBlock: 16})
-	indexes := []struct {
-		name string
-		idx  ltj.Index
-	}{
-		{"ring", ltj.IndexFunc(func(tp graph.TriplePattern) ltj.PatternIter { return plain.NewPatternState(tp) })},
-		{"c-ring", ltj.IndexFunc(func(tp graph.TriplePattern) ltj.PatternIter { return compressed.NewPatternState(tp) })},
-		{"flattrie", flattrie.New(g)},
-		{"btreeltj", btreeltj.New(g)},
-		{"dynamic", ltj.IndexFunc(snap.NewPatternIter)},
-	}
+	indexes := indexFamilies(t, g)
 
 	v, c := graph.Var, graph.Const
 	queries := []struct {

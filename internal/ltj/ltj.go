@@ -36,12 +36,6 @@ import (
 // keeps the engine-side name.
 type PatternIter = trieiter.Iter
 
-// ForkableIter is the optional capability behind Options.Parallelism:
-// iterators that can cheaply clone their cursor state so worker
-// goroutines explore disjoint parts of the binding tree over a shared
-// read-only index. See trieiter.Forkable.
-type ForkableIter = trieiter.Forkable
-
 // Index creates trie-iterators for triple patterns.
 type Index interface {
 	NewPatternIter(tp graph.TriplePattern) PatternIter
@@ -89,7 +83,7 @@ type Options struct {
 	// evaluation. 0 or 1 evaluates sequentially on the calling goroutine,
 	// producing solutions in the engine's deterministic order. Values > 1
 	// split the first eliminated variable's candidate domain across
-	// workers (each running the same leapfrog search over forked
+	// workers (each running the same leapfrog search over its own
 	// iterators), so the solution *multiset* is unchanged but the order
 	// becomes nondeterministic. DefaultParallelism() is a reasonable
 	// value for saturating the local machine.

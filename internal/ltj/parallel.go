@@ -3,22 +3,25 @@
 // The leapfrog search tree decomposes cleanly by the first eliminated
 // variable (Veldhuizen 2014): for every value v of the first variable's
 // intersection, the subtree below the binding x0 = v is independent of
-// every other subtree. The ring's query structures (wavelet-matrix
-// columns, C arrays, bitvector directories) are immutable once built, so
-// the subtrees can be explored by worker goroutines that share the index
-// read-only and own only a forked iterator cursor each.
+// every other subtree. The index structures behind the iterators
+// (wavelet-matrix columns, C arrays, bitvector directories, sorted
+// arrays) are immutable once built, so the subtrees can be explored by
+// worker goroutines that share the index read-only and own only their
+// iterator cursors.
 //
-// Division of labour:
+// Division of labour, all of it the sequential engine's own code:
 //
-//   - a producer goroutine runs the first variable's candidate generation
-//     (the top level of leapfrog_search: either the seek loop or the
-//     lonely-variable enumeration) on the evaluation's own iterators and
-//     batches the candidate values into contiguous chunks;
-//   - K worker goroutines pull chunks from a shared channel (cheap work
-//     stealing: a worker stuck on a heavy hub value simply stops taking
-//     chunks, so skewed Zipf domains do not straggle), bind each value on
-//     their forked iterators and run the ordinary sequential search from
-//     depth 1;
+//   - a producer goroutine runs search(0) over the evaluation's own
+//     iterators on an evaluator cut down to the first variable, so
+//     whichever lane search takes (lonely enumeration, batched
+//     intersection or the seek loop), each accepted value reaches descend
+//     as that evaluator's last variable, and its emit batches the value
+//     into contiguous chunks;
+//   - K worker goroutines, each on iterators it opened itself, pull chunks
+//     from a shared channel (cheap work stealing: a worker stuck on a
+//     heavy hub value simply stops taking chunks, so skewed Zipf domains
+//     do not straggle) and take search(0)'s per-value step, descend, on
+//     every value;
 //   - solutions merge through a bounded channel back onto the calling
 //     goroutine, which is the only one that invokes the caller's emit —
 //     streaming semantics, Limit short-circuit and Timeout behave as in
@@ -27,7 +30,8 @@
 // Each worker explores a subset of the sequential search tree, so the
 // per-worker work is bounded by the sequential wco bound; the union of
 // the subsets is exactly the sequential tree, so the solution multiset is
-// preserved (the differential tests assert this).
+// preserved and the summed EvalStats equal the sequential counts (the
+// differential tests assert both).
 package ltj
 
 import (
@@ -55,20 +59,6 @@ const maxBatch = 32
 // Limit short-circuit wastes little work.
 const solBuffer = 256
 
-// forkIter hands a worker its own iterator for p. Iterators advertising
-// the ForkableIter capability clone their cursor; anything else is
-// rebuilt from the pattern, which is equivalent here because workers fork
-// before any variable is bound — the rebuilt iterator holds exactly the
-// pattern's constants (Lemma 3.6), the same state a fork would copy.
-func forkIter(idx Index, p patternEntry) PatternIter {
-	if f, ok := p.it.(ForkableIter); ok {
-		if it := f.Fork(); it != nil {
-			return it
-		}
-	}
-	return idx.NewPatternIter(p.tp)
-}
-
 // searchParallel distributes search(0) over opt.Parallelism workers. It
 // is called on a fully set-up evaluator (iterators created, order chosen,
 // varIters built) in place of e.search(0).
@@ -81,9 +71,10 @@ func (e *evaluator) searchParallel(idx Index) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
-	// Fork the worker evaluators first, while the main iterators are
-	// still untouched by any seek (producer leaps may Bind/Unbind
-	// transiently for multi-occurrence variables).
+	// Every worker opens its own iterators. Creation binds a pattern's
+	// constants (Lemma 3.6) and nothing else, and no variable is bound
+	// above the first, so a fresh iterator is in exactly the state the
+	// evaluation's own iterators are in at search(0).
 	nworkers := e.opt.Parallelism
 	workers := make([]*evaluator, nworkers)
 	for w := range workers {
@@ -97,7 +88,7 @@ func (e *evaluator) searchParallel(idx Index) error {
 			stats:    &EvalStats{},
 		}
 		for _, p := range e.pats {
-			we.pats = append(we.pats, patternEntry{tp: p.tp, it: forkIter(idx, p)})
+			we.pats = append(we.pats, patternEntry{tp: p.tp, it: idx.NewPatternIter(p.tp)})
 		}
 		var err error
 		if we.varIters, err = buildVarIters(e.order, we.pats); err != nil {
@@ -105,7 +96,6 @@ func (e *evaluator) searchParallel(idx Index) error {
 		}
 		workers[w] = we
 	}
-	e.ctx = ctx // let the producer's checkDeadline observe cancellation
 
 	tasks := make(chan []graph.ID, 2*nworkers)
 	sols := make(chan []graph.ID, solBuffer)
@@ -180,13 +170,12 @@ func (e *evaluator) searchParallel(idx Index) error {
 	return firstErr
 }
 
-// produce enumerates the first variable's candidate values — mirroring
-// search(0)'s candidate generation exactly — and ships them to the
-// workers in contiguous chunks of geometrically growing size.
+// produce runs search(0) on an evaluator cut down to the first variable —
+// the evaluation's own iterators, range buffer and stats — so every value
+// search accepts reaches descend as the last variable, whose emit ships
+// it to the workers in contiguous chunks of geometrically growing size.
 func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error {
-	ivs := e.varIters[0]
-	batchCap := 1
-	batch := make([]graph.ID, 0, batchCap)
+	batch := make([]graph.ID, 0, 1)
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -196,91 +185,27 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 		case <-ctx.Done():
 			return false
 		}
-		if batchCap < maxBatch {
-			batchCap *= 2
-		}
-		batch = make([]graph.ID, 0, batchCap)
+		batch = make([]graph.ID, 0, min(2*cap(batch), maxBatch))
 		return true
 	}
-	add := func(v graph.ID) bool {
-		batch = append(batch, v)
-		if len(batch) == cap(batch) {
-			return flush()
-		}
-		return true
+	first := &evaluator{
+		opt:      e.opt,
+		order:    e.order[:1],
+		varIters: e.varIters[:1],
+		vals:     make([]graph.ID, 1),
+		runBufs:  e.runBufs[:1],
+		deadline: e.deadline,
+		ctx:      ctx,
+		stats:    e.stats,
+		emit: func(_ []string, vals []graph.ID) bool {
+			batch = append(batch, vals[0])
+			return len(batch) < cap(batch) || flush()
+		},
 	}
-
-	// Lonely-variable fast path, as in search (Section 4.2).
-	if !e.opt.DisableLonely && len(ivs) == 1 && len(ivs[0].positions) == 1 &&
-		ivs[0].it.CanEnumerate(ivs[0].positions[0]) {
-		var rerr error
-		ivs[0].it.Enumerate(ivs[0].positions[0], func(c graph.ID) bool {
-			if rerr = e.checkDeadline(); rerr != nil {
-				return false
-			}
-			e.stats.Enumerations++
-			if !add(c) {
-				rerr = errCancelled
-				return false
-			}
-			return true
-		})
-		if rerr != nil {
-			return rerr
-		}
-		if !flush() {
-			return errCancelled
-		}
-		return nil
+	if err := first.search(0); err != nil {
+		return err
 	}
-
-	// Batched radix-intersection lane, as in search: the intersection's
-	// emissions are exactly the values the seek loop below would accept.
-	if rs, ok := e.batchRuns(0, ivs); ok {
-		e.stats.BatchDescents++
-		var rerr error
-		wavelet.IntersectRanges(rs, func(cv uint64) bool {
-			if rerr = e.checkDeadline(); rerr != nil {
-				return false
-			}
-			e.stats.BatchEmits++
-			if !add(graph.ID(cv)) {
-				rerr = errCancelled
-				return false
-			}
-			return true
-		})
-		if rerr != nil {
-			return rerr
-		}
-		if !flush() {
-			return errCancelled
-		}
-		return nil
-	}
-
-	// General seek loop, as in search.
-	c := graph.ID(0)
-	for {
-		if err := e.checkDeadline(); err != nil {
-			return err
-		}
-		v, ok, err := e.seek(ivs, c)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if !add(v) {
-			return errCancelled
-		}
-		if v == graph.MaxID {
-			break // the "c = v + 1" below would wrap to 0
-		}
-		c = v + 1
-	}
-	if !flush() {
+	if first.stopped || !flush() {
 		return errCancelled
 	}
 	return nil
@@ -288,7 +213,7 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 
 // drain is a worker's main loop: every candidate value of the first
 // variable takes search(0)'s per-value step — descend — on the worker's
-// forked iterators.
+// own iterators.
 func (we *evaluator) drain(tasks <-chan []graph.ID) error {
 	ivs := we.varIters[0]
 	for batch := range tasks {

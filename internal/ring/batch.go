@@ -5,9 +5,9 @@ package ring
 // one contiguous BWT-column range, so (a) a *run* of leaps over the same
 // bindings can share one pruned wavelet descent (BatchLeap), and (b) the
 // candidate sets of several patterns joining on one variable can be
-// intersected wholesale by carrying all their column ranges down the
-// radix levels together (EnumerateJoin), instead of leapfrogging
-// pattern-by-pattern.
+// intersected wholesale by carrying all their column ranges (LeapRun)
+// down the radix levels together in one wavelet.IntersectRanges walk —
+// the engine's batched lane — instead of leapfrogging pattern-by-pattern.
 
 import (
 	"sync"
@@ -82,33 +82,4 @@ func (ps *PatternState) BatchLeap(pos graph.Position, c graph.ID, buf []graph.ID
 		c = v + 1
 	}
 	return buf
-}
-
-// EnumerateJoin emits, in increasing order, every value that can bind
-// its position in all of the given pattern states simultaneously — the
-// batched replacement for leapfrogging the states against each other.
-// It requires each state to expose a LeapRun for its position and all
-// the runs to lie over matrices of equal width (the ring's SPO and POS
-// columns share the subject/object alphabet; the OSP column codes
-// predicates and cannot be mixed in). It reports false, emitting
-// nothing, when those conditions fail and the caller must leapfrog.
-func EnumerateJoin(states []*PatternState, positions []graph.Position, emit func(graph.ID) bool) bool {
-	if len(states) == 0 || len(states) != len(positions) {
-		return false
-	}
-	rs := make([]wavelet.MatrixRange, len(states))
-	for i, ps := range states {
-		r, ok := ps.LeapRun(positions[i])
-		if !ok {
-			return false
-		}
-		if i > 0 && r.M.Width() != rs[0].M.Width() {
-			return false
-		}
-		rs[i] = r
-	}
-	wavelet.IntersectRanges(rs, func(v uint64) bool {
-		return emit(graph.ID(v))
-	})
-	return true
 }

@@ -6,9 +6,10 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/testutil"
+	"repro/internal/wavelet"
 )
 
-// leapfrogJoin is the scalar oracle for EnumerateJoin: the classic
+// leapfrogJoin is the scalar oracle for the batched join: the classic
 // round-robin leapfrog over the states' Leap operations.
 func leapfrogJoin(states []*PatternState, positions []graph.Position) []graph.ID {
 	var out []graph.ID
@@ -31,6 +32,20 @@ outer:
 		}
 		c++
 	}
+}
+
+// leapRuns collects each state's LeapRun for its position: the ranges the
+// engine's batched lane hands to wavelet.IntersectRanges.
+func leapRuns(states []*PatternState, positions []graph.Position) ([]wavelet.MatrixRange, bool) {
+	rs := make([]wavelet.MatrixRange, len(states))
+	for i, ps := range states {
+		r, ok := ps.LeapRun(positions[i])
+		if !ok {
+			return nil, false
+		}
+		rs[i] = r
+	}
+	return rs, true
 }
 
 func batchTestRings(t testing.TB) (*graph.Graph, []*Ring) {
@@ -137,48 +152,53 @@ func TestEnumerateJoinMatchesLeapfrog(t *testing.T) {
 					positions[i] = graph.PosS
 				}
 			}
-			var got []graph.ID
-			if !EnumerateJoin(states, positions, func(v graph.ID) bool {
-				got = append(got, v)
-				return true
-			}) {
-				t.Fatalf("EnumerateJoin unexpectedly unsupported (trial %d)", trial)
+			rs, ok := leapRuns(states, positions)
+			if !ok {
+				t.Fatalf("LeapRun unexpectedly unsupported (trial %d)", trial)
 			}
+			var got []graph.ID
+			wavelet.IntersectRanges(rs, func(v uint64) bool {
+				got = append(got, graph.ID(v))
+				return true
+			})
 			want := leapfrogJoin(states, positions)
 			if len(got) != len(want) {
-				t.Fatalf("EnumerateJoin: got %d values, leapfrog %d (k=%d)", len(got), len(want), k)
+				t.Fatalf("IntersectRanges: got %d values, leapfrog %d (k=%d)", len(got), len(want), k)
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("EnumerateJoin[%d] = %d, leapfrog %d", i, got[i], want[i])
+					t.Fatalf("IntersectRanges[%d] = %d, leapfrog %d", i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
+// TestEnumerateJoinFallbacks pins the two conditions under which the
+// engine's batched lane must fall back to leapfrogging: a forward
+// direction has no LeapRun, and a predicate column and a subject column
+// have different widths, so they cannot be carried down one descent.
 func TestEnumerateJoinFallbacks(t *testing.T) {
 	g, rings := batchTestRings(t)
 	t0 := g.Triples()[0]
 	r := rings[0]
-	// Width mismatch: the OSP column codes predicates (σ = numP = 5,
-	// 3 levels) while the POS column codes subjects (σ = numSO = 900,
-	// 10 levels); the two cannot be carried down one descent.
+	// The OSP column codes predicates (σ = numP = 5, 3 levels) while the
+	// POS column codes subjects (σ = numSO = 900, 10 levels).
 	bst := r.NewPatternState(graph.TP(graph.Var("v"), graph.Const(t0.P), graph.Var("o")))
+	subj, ok := bst.LeapRun(graph.PosS)
+	if !ok {
+		t.Fatal("subject LeapRun over the POS column should apply")
+	}
 	c := r.NewPatternState(graph.TP(graph.Var("s"), graph.Var("v"), graph.Const(t0.O))) // run = O, backward = ?v (predicate, OSP column)
-	if mr, ok := c.LeapRun(graph.PosP); !ok {
-		t.Skipf("predicate LeapRun unsupported: %+v", mr)
+	pred, ok := c.LeapRun(graph.PosP)
+	if !ok {
+		t.Skipf("predicate LeapRun unsupported: %+v", pred)
 	}
-	if EnumerateJoin([]*PatternState{c, bst}, []graph.Position{graph.PosP, graph.PosS}, func(graph.ID) bool { return true }) {
-		t.Fatal("EnumerateJoin should decline a width mismatch between predicate and subject columns")
+	if pred.M.Width() == subj.M.Width() {
+		t.Fatalf("predicate and subject columns share width %d; the lane's width check could not tell them apart", pred.M.Width())
 	}
-	// Unsupported direction (forward leap) declines too.
 	fwd := r.NewPatternState(graph.TP(graph.Const(t0.S), graph.Var("p"), graph.Var("o")))
-	if EnumerateJoin([]*PatternState{fwd, bst}, []graph.Position{graph.PosP, graph.PosS}, func(graph.ID) bool { return true }) {
-		t.Fatal("EnumerateJoin should decline a forward-direction member")
-	}
-	// Empty or mismatched argument lists decline.
-	if EnumerateJoin(nil, nil, func(graph.ID) bool { return true }) {
-		t.Fatal("EnumerateJoin(nil) should decline")
+	if _, ok := fwd.LeapRun(graph.PosP); ok {
+		t.Fatal("LeapRun should decline a forward-direction position")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/wavelet"
 )
 
 // Adversarial multi-pattern enumeration benchmarks: the shapes where the
@@ -114,13 +115,14 @@ func BenchmarkJoinEnumerate(b *testing.B) {
 		b.Run(tc.name+"/batched", func(b *testing.B) {
 			s := 0
 			for i := 0; i < b.N; i++ {
-				states, positions := joinStates(r, tc.subjects)
-				if !EnumerateJoin(states, positions, func(graph.ID) bool {
+				rs, ok := leapRuns(joinStates(r, tc.subjects))
+				if !ok {
+					b.Fatal("LeapRun unsupported")
+				}
+				wavelet.IntersectRanges(rs, func(uint64) bool {
 					s++
 					return true
-				}) {
-					b.Fatal("EnumerateJoin unsupported")
-				}
+				})
 			}
 			sinkInt = s
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/trieiter"
 )
 
 // PatternState is the ring's implementation of the trie-iterator
@@ -23,7 +22,7 @@ import (
 // For arity 3 any set of ≤3 positions is cyclically contiguous, which is
 // exactly why a single ring suffices for graphs.
 type PatternState struct {
-	r *Ring //ringlint:shared-immutable -- the ring is immutable after New/Read; forks share it read-only
+	r *Ring
 
 	zone     Zone
 	lo, hi   int      // current range within zone, half-open
@@ -233,18 +232,6 @@ func (ps *PatternState) Bind(pos graph.Position, c graph.ID) {
 	if ringdebugEnabled {
 		ps.debugCheckRange()
 	}
-}
-
-// Fork returns an independent copy of the iterator for parallel
-// evaluation (trieiter.Forkable): the mutable cursor — zone, range,
-// binding stack — is copied, while the ring itself, being immutable
-// after construction, is shared read-only across all forks. This holds
-// for both the plain Ring and the C-Ring (the RRR decode tables are
-// populated at package init).
-func (ps *PatternState) Fork() trieiter.Iter {
-	cp := *ps
-	cp.frames = append([]frame(nil), ps.frames...)
-	return &cp
 }
 
 // Unbind undoes the most recent Bind.

@@ -2,14 +2,19 @@
 // abstraction (Definition 2.1 of the paper, extended with explicit
 // binding state) shared by the LTJ engine and every index that plugs
 // into it — the ring, the flat tries, the B+-tree orders, the
-// unidirectional ablation, and the dynamic store's union iterator.
+// unidirectional ablation, and the dynamic store's union iterator —
+// together with the one optional capability the engine probes for,
+// RunLeaper.
 //
 // The interface lives in its own leaf package (rather than in the engine
 // package internal/ltj) so that index packages whose types the engine's
 // tests exercise — notably internal/ring — can also name it without an
-// import cycle. internal/ltj re-exports the types under their historical
-// names (ltj.PatternIter, ltj.ForkableIter) via aliases, so engine-side
-// code is unaffected.
+// import cycle. internal/ltj re-exports Iter under its historical name
+// (ltj.PatternIter) via an alias, so engine-side code is unaffected.
+//
+// An Iter is a cursor: it is used by one goroutine at a time. Parallel
+// evaluation gives every worker its own iterators, opened from the index
+// like the sequential ones; the index behind them is shared read-only.
 package trieiter
 
 import (
@@ -56,20 +61,4 @@ type RunLeaper interface {
 	// backward-leap direction reads a contiguous column range). When
 	// ok is false the caller must fall back to scalar Leap calls.
 	LeapRun(pos graph.Position) (wavelet.MatrixRange, bool)
-}
-
-// Forkable is the optional capability the parallel LTJ engine uses to
-// hand each worker goroutine an independent iterator. The query
-// structures behind an iterator are immutable once built, so a fork only
-// has to copy the small mutable cursor (range bounds and the binding
-// stack); the underlying index is shared read-only across all forks.
-type Forkable interface {
-	Iter
-	// Fork returns an iterator over the same pattern with the same
-	// binding state, which can thereafter be advanced independently of
-	// the receiver (including from a different goroutine). Fork may
-	// return nil when a cheap fork is impossible under the current state;
-	// callers must then fall back to rebuilding an iterator from the
-	// pattern and replaying the bindings.
-	Fork() Iter
 }
