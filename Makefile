@@ -11,6 +11,9 @@
 #               one analyzer or an annotation pass); an unknown name
 #               fails
 #   make build  compile everything
+#   make cross  compile everything for macOS (arm64) and Windows (amd64):
+#               file mapping is Linux-only, every other platform takes
+#               the file-read fallback
 #   make test   full test suite, shuffled (includes the fuzz seed corpora)
 #   make test-debug  internal packages with the ringdebug assertion tag
 #               (rank/select inverses, wavelet range sanity, leap ordering,
@@ -24,15 +27,13 @@
 #                         (bits, bitvector, wavelet, ring Leap/Bind);
 #                         benchstat-friendly: set BENCH_COUNT>=10 to compare;
 #                         records nothing (ringbench's per-layer rows do)
-#   make serve-smoke      end-to-end ringserve smoke: build, index, serve,
-#                         query, overload shedding, SIGTERM drain
+#   make serve-smoke      end-to-end ringserve smoke: build, index,
+#                         ringstats layout, serve the mapped file, a join
+#                         checked against awk, mapped-load metrics,
+#                         overload shedding, SIGTERM drain, restart
 #   make persist-smoke    end-to-end live-update smoke: insert over HTTP,
 #                         SIGKILL, recover from the WAL, drain with a
 #                         final checkpoint, inspect with ringstats
-#   make mmap-smoke       end-to-end zero-copy smoke: ringstats layout,
-#                         heap bytes vs mapped bytes through one View,
-#                         serving across a restart, live mode with
-#                         view-loaded checkpoints
 #   make repl-smoke       end-to-end replication smoke: leader + follower,
 #                         lag to zero, read-your-writes via X-Ring-Min-Seq,
 #                         leader kill, promote, clean drain
@@ -42,17 +43,17 @@
 #               (cmd/ringbench, its own go.mod over this module's
 #               internal/* packages; ~10 s) — the root build and tests
 #               do not compile it
-#   make check  fmt + vet + lint + build + test + test-debug + race +
-#               race-batch + bench-smoke + bench-check + serve-smoke +
-#               persist-smoke + mmap-smoke + repl-smoke; leaves the
+#   make check  fmt + vet + lint + build + cross + test + test-debug +
+#               race + race-batch + bench-smoke + bench-check +
+#               serve-smoke + persist-smoke + repl-smoke; leaves the
 #               tree clean
 
 GO ?= go
 BENCH_COUNT ?= 1
 
-.PHONY: check fmt vet lint lint-only build test test-debug race race-batch bench bench-smoke bench-check bench-substrate serve-smoke persist-smoke mmap-smoke repl-smoke
+.PHONY: check fmt vet lint lint-only build cross test test-debug race race-batch bench bench-smoke bench-check bench-substrate serve-smoke persist-smoke repl-smoke
 
-check: fmt vet lint build test test-debug race race-batch bench-smoke bench-check serve-smoke persist-smoke mmap-smoke repl-smoke
+check: fmt vet lint build cross test test-debug race race-batch bench-smoke bench-check serve-smoke persist-smoke repl-smoke
 
 fmt:
 	@unformatted=$$(gofmt -s -l .); \
@@ -74,6 +75,10 @@ lint-only:
 
 build:
 	$(GO) build ./...
+
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -108,9 +113,6 @@ serve-smoke:
 
 persist-smoke:
 	sh scripts/persist_smoke.sh
-
-mmap-smoke:
-	sh scripts/mmap_smoke.sh
 
 repl-smoke:
 	sh scripts/repl_smoke.sh

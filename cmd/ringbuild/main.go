@@ -50,16 +50,8 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	o, err := os.Create(*out)
+	n, err := writeIndex(*out, store)
 	if err != nil {
-		log.Fatal(err)
-	}
-	n, err := store.WriteTo(o)
-	if err != nil {
-		o.Close()
-		log.Fatal(err)
-	}
-	if err := o.Close(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -68,4 +60,30 @@ func main() {
 		store.Len(), elapsed.Round(time.Millisecond), rate/1e6)
 	fmt.Printf("index: %.2f bytes/triple in memory, %d bytes on disk (incl. dictionary)\n",
 		float64(store.SizeBytes())/float64(store.Len()), n)
+}
+
+// writeIndex writes the index to path+".tmp", fsyncs it and renames it
+// over path. A server mapping the previous file keeps its inode, so
+// rebuilding an index in place never truncates pages under a live
+// mapping.
+func writeIndex(path string, store *wcoring.Store) (int64, error) {
+	tmp, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	if err != nil {
+		return 0, err
+	}
+	n, err := store.WriteTo(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return 0, err
+	}
+	return n, nil
 }

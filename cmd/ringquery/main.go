@@ -1,7 +1,7 @@
-// Command ringquery loads a serialized ring index (built by ringbuild)
-// and evaluates basic graph patterns. A query is given as one or more
-// triple patterns, semicolon-separated; components starting with '?' are
-// variables:
+// Command ringquery memory-maps a serialized ring index (built by
+// ringbuild) and evaluates basic graph patterns. A query is given as one
+// or more triple patterns, semicolon-separated; components starting with
+// '?' are variables:
 //
 //	ringquery -index graph.ring -query '?x winner ?y ; ?x nominee ?z ; ?z advisor ?y'
 //
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	wcoring "repro"
+	"repro/internal/mman"
 	"repro/internal/prof"
 )
 
@@ -51,12 +52,12 @@ func main() {
 		}
 	}()
 
-	f, err := os.Open(*index)
+	reg, err := mman.Map(*index)
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := wcoring.ReadStore(f)
-	f.Close()
+	defer reg.Release()
+	store, err := wcoring.ViewStore(reg.Bytes())
 	if err != nil {
 		log.Fatal(err)
 	}

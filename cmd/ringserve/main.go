@@ -8,7 +8,8 @@
 //	ringserve -index graph.ring [-addr :8080] [-parallel 0] ...
 //	ringserve -data-dir ./data  [-addr :8080] ...
 //
-// With -index the server is read-only over a ring built by ringbuild.
+// With -index the server is read-only over a ring built by ringbuild,
+// memory-mapped and viewed in place.
 // With -data-dir it serves a live store: the directory's manifest and
 // write-ahead log are recovered before /readyz flips, and POST /insert
 // and /delete append durably (200 after fsync, 202 when "sync": false).
@@ -72,7 +73,6 @@ func main() {
 
 	index := flag.String("index", "", "index file built by ringbuild (read-only mode)")
 	dataDir := flag.String("data-dir", "", "data directory for live updates (WAL + snapshots)")
-	useMmap := flag.Bool("mmap", false, "memory-map immutable index files instead of decoding them into the heap")
 	memtable := flag.Int("memtable", 0, "live mode: memtable flush threshold in triples (0 = default)")
 	maxRings := flag.Int("max-rings", 0, "live mode: static-ring budget before merging (0 = default)")
 	addr := flag.String("addr", ":8080", "listen address")
@@ -139,13 +139,13 @@ func main() {
 	case *follow != "":
 		srv.ExpectLive() // mutations 503 (retryable), not 501, during bootstrap
 		go func() {
-			loadErr <- openFollower(srv, &liveDB, &follower, *dataDir, *follow, *memtable, *maxRings, *useMmap)
+			loadErr <- openFollower(srv, &liveDB, &follower, *dataDir, *follow, *memtable, *maxRings)
 		}()
 	case *dataDir != "":
 		srv.ExpectLive() // mutations 503 (retryable), not 501, during recovery
-		go func() { loadErr <- openLive(srv, &liveDB, *dataDir, *memtable, *maxRings, *useMmap) }()
+		go func() { loadErr <- openLive(srv, &liveDB, *dataDir, *memtable, *maxRings) }()
 	default:
-		go func() { loadErr <- loadStore(srv, *index, *useMmap) }()
+		go func() { loadErr <- loadStore(srv, *index) }()
 	}
 
 	httpSrv := &http.Server{
@@ -229,12 +229,11 @@ func main() {
 // openLive recovers the data directory (manifest snapshot + WAL replay)
 // and installs the live DB; /readyz flips only after recovery and the
 // self-check probe pass.
-func openLive(srv *server.Server, slot *atomic.Pointer[persist.DB], dir string, memtable, maxRings int, useMmap bool) error {
+func openLive(srv *server.Server, slot *atomic.Pointer[persist.DB], dir string, memtable, maxRings int) error {
 	start := time.Now()
 	db, err := persist.Open(dir, persist.Options{
 		MemtableThreshold: memtable,
 		MaxRings:          maxRings,
-		Mmap:              useMmap,
 	})
 	if err != nil {
 		return fmt.Errorf("opening %s: %w", dir, err)
@@ -246,13 +245,12 @@ func openLive(srv *server.Server, slot *atomic.Pointer[persist.DB], dir string, 
 	slot.Store(db)
 	st := db.Stats()
 	srv.SetLoadInfo(server.LoadInfo{
-		Mode:        loadMode(useMmap),
 		BytesMapped: st.MappedBytes,
 		Regions:     st.MappedRings,
 		Seconds:     time.Since(start).Seconds(),
 	})
-	log.Printf("recovered %s: %d triples (replayed %d WAL batches, torn tail: %v, mode %s) in %v",
-		dir, st.Triples, st.RecoveryBatches, st.RecoveryTorn, loadMode(useMmap), time.Since(start).Round(time.Millisecond))
+	log.Printf("recovered %s: %d triples (replayed %d WAL batches, torn tail: %v) in %v",
+		dir, st.Triples, st.RecoveryBatches, st.RecoveryTorn, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -260,7 +258,7 @@ func openLive(srv *server.Server, slot *atomic.Pointer[persist.DB], dir string, 
 // replication endpoint, opens the local store through the normal recovery
 // path, and starts the WAL tail loop. /readyz flips only after the
 // self-check probe passes; mutations are redirected (421) to the leader.
-func openFollower(srv *server.Server, slot *atomic.Pointer[persist.DB], fslot *atomic.Pointer[repl.Follower], dir, leader string, memtable, maxRings int, useMmap bool) error {
+func openFollower(srv *server.Server, slot *atomic.Pointer[persist.DB], fslot *atomic.Pointer[repl.Follower], dir, leader string, memtable, maxRings int) error {
 	start := time.Now()
 	f, err := repl.OpenFollower(repl.FollowerOptions{
 		Dir:    dir,
@@ -268,7 +266,6 @@ func openFollower(srv *server.Server, slot *atomic.Pointer[persist.DB], fslot *a
 		Open: persist.Options{
 			MemtableThreshold: memtable,
 			MaxRings:          maxRings,
-			Mmap:              useMmap,
 		},
 	})
 	if err != nil {
@@ -285,21 +282,13 @@ func openFollower(srv *server.Server, slot *atomic.Pointer[persist.DB], fslot *a
 	slot.Store(db)
 	st := db.Stats()
 	srv.SetLoadInfo(server.LoadInfo{
-		Mode:        loadMode(useMmap),
 		BytesMapped: st.MappedBytes,
 		Regions:     st.MappedRings,
 		Seconds:     time.Since(start).Seconds(),
 	})
-	log.Printf("following %s from %s: %d triples, resuming at seq %d (mode %s) in %v",
-		leader, dir, st.Triples, db.NextSeq(), loadMode(useMmap), time.Since(start).Round(time.Millisecond))
+	log.Printf("following %s from %s: %d triples, resuming at seq %d in %v",
+		leader, dir, st.Triples, db.NextSeq(), time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-func loadMode(useMmap bool) string {
-	if useMmap {
-		return "mmap"
-	}
-	return "decode"
 }
 
 // closeNode shuts down whichever store this process opened: the follower
@@ -340,46 +329,28 @@ func closeLive(slot *atomic.Pointer[persist.DB]) {
 // query can touch the index.
 var staticRegion *mman.Region
 
-// loadStore reads (or with -mmap, maps) the index file and installs it
-// into the server (which self-checks it before going ready).
-func loadStore(srv *server.Server, path string, useMmap bool) error {
+// loadStore maps the index file and installs a store viewed over the
+// mapping into the server (which self-checks it before going ready).
+func loadStore(srv *server.Server, path string) error {
 	start := time.Now()
-	var store *wcoring.Store
-	var mappedBytes int64
-	var regions int
-	if useMmap {
-		reg, err := mman.Map(path)
-		if err != nil {
-			return err
-		}
-		store, err = wcoring.ViewStore(reg.Bytes())
-		if err != nil {
-			reg.Release()
-			return fmt.Errorf("mapping %s: %w", path, err)
-		}
-		staticRegion = reg
-		mappedBytes = int64(reg.Len())
-		regions = 1
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		store, err = wcoring.ReadStore(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", path, err)
-		}
+	reg, err := mman.Map(path)
+	if err != nil {
+		return err
 	}
+	store, err := wcoring.ViewStore(reg.Bytes())
+	if err != nil {
+		reg.Release()
+		return fmt.Errorf("mapping %s: %w", path, err)
+	}
+	staticRegion = reg
 	if err := srv.SetStore(store); err != nil {
 		return err
 	}
 	srv.SetLoadInfo(server.LoadInfo{
-		Mode:        loadMode(useMmap),
-		BytesMapped: mappedBytes,
-		Regions:     regions,
+		BytesMapped: int64(reg.Len()),
+		Regions:     1,
 		Seconds:     time.Since(start).Seconds(),
 	})
-	log.Printf("loaded %s: %d triples (mode %s) in %v", path, store.Len(), loadMode(useMmap), time.Since(start).Round(time.Millisecond))
+	log.Printf("loaded %s: %d triples in %v", path, store.Len(), time.Since(start).Round(time.Millisecond))
 	return nil
 }

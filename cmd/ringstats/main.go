@@ -1,11 +1,11 @@
 // Command ringstats inspects a serialized ring index (built by
-// ringbuild): global statistics, the predicate frequency head, space
-// accounting, and — with -pattern — the on-the-fly cardinality estimate
-// of Section 4.3 for a triple pattern. With -data-dir it instead
-// inspects a live-update data directory (manifest version, per-ring
-// sizes, WAL segments, estimated recovery replay, and — for a replica —
-// the replication position) without opening or mutating it — safe
-// against a running server.
+// ringbuild): global statistics, space accounting, the mapped load's
+// layout, the predicate frequency head, and — with -pattern — the
+// on-the-fly cardinality estimate of Section 4.3 for a triple pattern.
+// With -data-dir it instead inspects a live-update data directory
+// (manifest version, per-ring sizes, WAL segments, estimated recovery
+// replay, and — for a replica — the replication position) without
+// opening or mutating it — safe against a running server.
 //
 // Usage:
 //
@@ -35,7 +35,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "live-update data directory to inspect (read-only)")
 	top := flag.Int("top", 10, "show the k most frequent predicates")
 	pattern := flag.String("pattern", "", "report the cardinality of one 's p o' pattern ('?x' = variable)")
-	useMmap := flag.Bool("mmap", false, "load the index via memory mapping and report the zero-copy layout")
 	flag.Parse()
 	if (*index == "") == (*dataDir == "") {
 		fmt.Fprintln(os.Stderr, "ringstats: exactly one of -index or -data-dir is required")
@@ -48,29 +47,14 @@ func main() {
 	}
 
 	start := time.Now()
-	var store *wcoring.Store
-	var reg *mman.Region
-	if *useMmap {
-		var err error
-		reg, err = mman.Map(*index)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer reg.Release()
-		store, err = wcoring.ViewStore(reg.Bytes())
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		f, err := os.Open(*index)
-		if err != nil {
-			log.Fatal(err)
-		}
-		store, err = wcoring.ReadStore(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
+	reg, err := mman.Map(*index)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reg.Release()
+	store, err := wcoring.ViewStore(reg.Bytes())
+	if err != nil {
+		log.Fatal(err)
 	}
 	loadTime := time.Since(start)
 	r := store.Ring()
@@ -84,28 +68,24 @@ func main() {
 	fmt.Printf("subject/object ids:  %d   predicate ids: %d\n", r.NumSO(), r.NumP())
 	fmt.Printf("index size:          %d bytes (%.2f bytes/triple; the index replaces the data)\n",
 		r.SizeBytes(), r.BytesPerTriple())
-	if *useMmap {
-		layout, err := wcoring.ReadStoreLayout(reg.Bytes())
-		if err != nil {
-			log.Fatal(err)
-		}
-		mode := "mmap"
-		if !reg.Mapped() {
-			mode = "mmap (fallback read: platform has no mapping support)"
-		}
-		fmt.Printf("load mode:           %s\n", mode)
-		fmt.Printf("mapped bytes:        %d\n", reg.Len())
-		fmt.Printf("load time:           %v\n", loadTime.Round(time.Microsecond))
-		fmt.Printf("dict section:        %d bytes + %d pad (padded format: %v)\n",
-			layout.DictBytes, layout.PadBytes, layout.Padded)
-		align := "8-byte aligned (zero-copy)"
-		if !layout.Aligned {
-			align = "unaligned (legacy file: words are copied on view)"
-		}
-		fmt.Printf("ring section:        offset %d, %s\n", layout.RingOffset, align)
-	} else {
-		fmt.Printf("load mode:           decode (%v)\n", loadTime.Round(time.Microsecond))
+	layout, err := wcoring.ReadStoreLayout(reg.Bytes())
+	if err != nil {
+		log.Fatal(err)
 	}
+	mode := "file mapping"
+	if !reg.Mapped() {
+		mode = "file read (platform fallback: no mapping)"
+	}
+	fmt.Printf("load mode:           %s\n", mode)
+	fmt.Printf("mapped bytes:        %d\n", reg.Len())
+	fmt.Printf("load time:           %v\n", loadTime.Round(time.Microsecond))
+	fmt.Printf("dict section:        %d bytes + %d pad (padded format: %v)\n",
+		layout.DictBytes, layout.PadBytes, layout.Padded)
+	align := "8-byte aligned (zero-copy)"
+	if !layout.Aligned {
+		align = "unaligned (legacy file: words are copied on view)"
+	}
+	fmt.Printf("ring section:        offset %d, %s\n", layout.RingOffset, align)
 
 	if *top > 0 {
 		fmt.Printf("\ntop %d predicates:\n", *top)

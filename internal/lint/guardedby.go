@@ -4,7 +4,7 @@ package lint
 // //ringlint:guarded-by <mu> on struct fields: every read or write of an
 // annotated field must happen in a function that holds the named mutex
 // on the path to the access. The serving tier (admission semaphore,
-// result cache, WAL, dynamic store, mmap region refcounts) keeps its
+// result cache, WAL, dynamic store, persistence bookkeeping) keeps its
 // invariants behind plain sync.Mutex fields; a single missed lock
 // surfaces as a rare torn read under load, not as a test failure —
 // exactly the bug class a compiler-shaped check should own.
@@ -20,9 +20,8 @@ package lint
 //     does not bleed into the fall-through path.
 //   - Function literals are walked with an empty held set: a closure
 //     runs when it runs, not where it is written.
-//   - Methods whose name ends in "Locked", or functions annotated
-//     //ringlint:locked [<mu>], start with the caller's locks held — the
-//     repo-wide caller-holds-the-lock convention.
+//   - Methods whose name ends in "Locked" start with the caller's locks
+//     held — the repo-wide caller-holds-the-lock convention.
 //   - Accesses through a struct the function itself constructs (a
 //     composite literal assigned to a local) are exempt: the object is
 //     not shared yet.
@@ -149,49 +148,25 @@ func fieldDirectiveArgs(field *ast.Field, verb string) (string, bool) {
 }
 
 // checkFunc walks one function with the entry-held set implied by its
-// name and directives.
+// name.
 func (g *gbAnalysis) checkFunc(fd *ast.FuncDecl) {
 	held := map[gbHeld]bool{}
-	if locked, arg := g.callerHoldsLock(fd); locked {
-		g.seedHeld(fd, arg, held)
+	if strings.HasSuffix(fd.Name.Name, "Locked") {
+		g.seedHeld(fd, held)
 	}
 	w := &gbWalker{a: g, fresh: g.freshObjects(fd.Body)}
 	w.stmts(fd.Body.List, held)
 }
 
-// callerHoldsLock reports the caller-holds-the-lock convention: an
-// explicit //ringlint:locked directive, or a method name ending in
-// "Locked".
-func (g *gbAnalysis) callerHoldsLock(fd *ast.FuncDecl) (bool, string) {
-	if arg, ok := groupDirective(fd.Doc, "locked"); ok {
-		return true, arg
-	}
-	if strings.HasSuffix(fd.Name.Name, "Locked") {
-		return true, ""
-	}
-	return false, ""
-}
-
-// seedHeld installs the locks a caller-holds-lock function starts with:
-// the named mutex, or every guard of the receiver's annotated fields.
-func (g *gbAnalysis) seedHeld(fd *ast.FuncDecl, arg string, held map[gbHeld]bool) {
+// seedHeld installs the locks a caller-holds-lock method starts with:
+// every guard of the receiver's annotated fields.
+func (g *gbAnalysis) seedHeld(fd *ast.FuncDecl, held map[gbHeld]bool) {
 	recvName := ""
 	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 		recvName = fd.Recv.List[0].Names[0].Name
 	}
 	named := recvNamed(fd, g.pkg)
 	if named == nil {
-		return
-	}
-	if arg != "" {
-		// No AST for the receiver here: find the sibling through go/types.
-		if st, ok := named.Underlying().(*types.Struct); ok {
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i).Name() == arg {
-					held[gbHeld{st.Field(i), recvName}] = true
-				}
-			}
-		}
 		return
 	}
 	for _, mu := range g.structGuards[named] {

@@ -41,14 +41,10 @@
 //     On a struct field: every read or write of the field must happen
 //     while <mu> is held. <mu> is a sibling mutex field of the same
 //     struct, and the lock receiver must syntactically match the access
-//     base: a.mu guards a.used. Reviewed lock-free fast paths carry
-//     //ringlint:allow guardedby -- reason. (guardedby)
-//
-//   - //ringlint:locked [<mu>]
-//     On a function's doc comment: the caller holds <mu> (default: every
-//     mutex guarding the receiver's annotated fields) for the duration
-//     of the call. Methods whose name ends in "Locked" get this
-//     implicitly — the repo-wide caller-holds-the-lock convention.
+//     base: a.mu guards a.used. Methods whose name ends in "Locked"
+//     start with every such mutex of their receiver held — the
+//     repo-wide caller-holds-the-lock convention. Reviewed lock-free
+//     fast paths carry //ringlint:allow guardedby -- reason. (guardedby)
 //
 //   - //ringlint:goroutine-exception -- reason
 //     On or immediately above a go statement: the goroutine is reviewed

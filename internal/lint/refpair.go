@@ -1,16 +1,15 @@
 package lint
 
-// refpair pairs resource acquisitions with their releases: mmap region
-// refcounts (mman.Map / Region.Retain → Region.Release) and
-// admission-semaphore weight (admission.acquire → admission.release).
-// An unbalanced region refcount either unmaps memory still aliased by a
-// live ring (crash) or pins a mapping forever (leak); a dropped
-// admission token shrinks server capacity permanently. Both escape
-// tests because the steady state looks fine — the bug is on the error
-// path nobody exercises.
+// refpair pairs resource acquisitions with their releases: file
+// mappings (mman.Map → Region.Release) and admission-semaphore weight
+// (admission.acquire → admission.release). A mapping never released
+// pins its address space forever (leak); a dropped admission token
+// shrinks server capacity permanently. Both escape tests because the
+// steady state looks fine — the bug is on the error path nobody
+// exercises.
 //
 // Acquire sites are recognized by callee name with a type check — a
-// call to Map/Retain/acquire only counts when the produced value's type
+// call to Map/acquire only counts when the produced value's type
 // (first result, or the receiver) actually has the matching
 // Release/release method — so fixture types and future resources keyed
 // to the same verbs participate without a hardcoded package list.
@@ -48,7 +47,6 @@ func (refpair) Name() string { return "refpair" }
 // value must have.
 var rpPairs = map[string]string{
 	"Map":     "Release",
-	"Retain":  "Release",
 	"acquire": "release",
 }
 
@@ -150,7 +148,7 @@ func (w *rpWalker) stmt(s ast.Stmt, st *rpState) bool {
 				delete(st.live, key)
 				return false
 			}
-			// Receiver-keyed acquire as a bare statement: r.Retain().
+			// Receiver-keyed acquire as a bare statement: s.acquire(w).
 			if res := w.acquire(call, nil); res != nil {
 				w.track(res, st)
 			}
@@ -303,7 +301,7 @@ func (w *rpWalker) lhsObj(id *ast.Ident) types.Object {
 
 // acquire matches a call against rpPairs, verifying the produced value
 // has the paired release method. key overrides the resource expression
-// (the assignment lhs); nil means the call receiver (Retain/acquire).
+// (the assignment lhs); nil means the call receiver (acquire).
 func (w *rpWalker) acquire(call *ast.CallExpr, key *ast.Ident) *rpResource {
 	var name string
 	var sel *ast.SelectorExpr
@@ -336,7 +334,7 @@ func (w *rpWalker) acquire(call *ast.CallExpr, key *ast.Ident) *rpResource {
 		}
 		return &rpResource{key: key.Name, relName: relName, node: call}
 	default:
-		// Method acquire (Retain, acquire): the receiver is the resource.
+		// Method acquire: the receiver is the resource.
 		if sel == nil {
 			return nil
 		}
@@ -441,7 +439,7 @@ func (w *rpWalker) checkLeaks(st *rpState, pos token.Pos, where string, diags *[
 }
 
 // rpHasMethod reports whether t (or *t) has a method with the given
-// name — the gate that keeps unrelated Map/acquire/Retain callees out
+// name — the gate that keeps unrelated Map/acquire callees out
 // of the pair table.
 func rpHasMethod(t types.Type, name string) bool {
 	if t == nil {

@@ -60,11 +60,6 @@ func (c *counterSet) bump() {
 	c.bumpLocked()
 }
 
-//ringlint:locked mu
-func (c *counterSet) bumpAnnotated() {
-	c.n++ // negative: //ringlint:locked declares the caller's lock
-}
-
 func constructor() *counterSet {
 	c := &counterSet{}
 	c.n = 1 // negative: constructed here, not shared yet

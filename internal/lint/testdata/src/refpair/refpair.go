@@ -8,8 +8,7 @@ type region struct{ refs int }
 
 func Map(path string) (*region, error) { return &region{refs: 1}, nil }
 
-func (r *region) Retain() *region { r.refs++; return r }
-func (r *region) Release()        { r.refs-- }
+func (r *region) Release() { r.refs-- }
 
 type sem struct{ used int }
 
@@ -87,17 +86,6 @@ func annotatedTransfer(path string) error {
 	}
 	use(r)
 	return nil // negative: annotated handoff
-}
-
-func retainLeak(r *region) {
-	r.Retain() // acquire keyed to the receiver
-	use(r)
-} // want "not released or transferred"
-
-func retainBalanced(r *region) {
-	r.Retain()
-	defer r.Release()
-	use(r)
 }
 
 func weightHeld(s *sem) error {

@@ -1,62 +1,53 @@
-// Package mman memory-maps immutable index files for the zero-copy load
-// path. A Region is a read-only byte view of one file: on platforms with
-// mmap support the bytes are a shared file mapping (so load cost is page
-// faults, N processes share one physical copy, and cold pages never
+// Package mman memory-maps immutable index files: every index load
+// views bytes obtained here. A Region is a read-only byte view of one
+// file: on Linux the bytes are a shared file mapping (so load cost is
+// page faults, N processes share one physical copy, and cold pages never
 // touch the heap); elsewhere the file is read into an anonymous slice,
 // which is semantically identical but pays the copy.
 //
-// Lifetime: a Region is reference-counted. Map returns it with one
-// reference; Retain/Release adjust the count and the mapping is unmapped
-// when it reaches zero. Slices handed out by Bytes alias the mapping and
-// are invisible to the garbage collector — they do NOT keep the Region
-// alive, and the mapping is deliberately never unmapped by a Region
-// finalizer: a forgotten Release leaks address space until process exit,
-// which is strictly safer than unmapping under a live structure whose
-// aliases the collector cannot see. Owners that want reclamation tie the
-// Region to the structure built over it (the persist layer sets a
-// finalizer on the view-loaded ring that releases its Region; the static
-// server holds its Region for the process lifetime).
+// Lifetime: a Region has exactly one owner, which calls Release once;
+// a second Release is an error. Slices handed out by Bytes alias the
+// mapping and are invisible to the garbage collector — they do NOT keep
+// the Region alive, and the mapping is deliberately never unmapped by a
+// Region finalizer: a forgotten Release leaks address space until
+// process exit, which is strictly safer than unmapping under a live
+// structure whose aliases the collector cannot see. Owners that want
+// reclamation tie the Region to the structure built over it (the persist
+// layer sets a finalizer on the view-loaded ring that releases its
+// Region; the static server holds its Region for the process lifetime).
 package mman
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Region is a read-only view of one file, either memory-mapped or read
 // into an anonymous slice (see Mapped).
 type Region struct {
-	data   []byte //ringlint:guarded-by mu
-	path   string // immutable after Map
-	mapped bool   //ringlint:guarded-by mu
-
-	mu   sync.Mutex
-	refs int //ringlint:guarded-by mu
-
-	// Lifetime totals for the ringdebug refcount-balance assertion;
-	// only maintained when ringdebugEnabled.
-	debugRetains  int //ringlint:guarded-by mu
-	debugReleases int //ringlint:guarded-by mu
+	data     []byte // immutable after Map; unmapped by Release
+	path     string
+	mapped   bool
+	released atomic.Bool
 }
 
 // Map opens path read-only and maps (or on fallback platforms, reads)
-// its contents. The returned Region holds one reference.
+// its contents. The caller owns the Region and must Release it once.
 func Map(path string) (*Region, error) {
 	data, mapped, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Region{data: data, path: path, mapped: mapped, refs: 1}, nil
+	return &Region{data: data, path: path, mapped: mapped}, nil
 }
 
 // Bytes returns the mapped contents. The slice aliases the mapping: it
-// must not be written to, and it becomes invalid once the refcount
-// reaches zero.
+// must not be written to, and it becomes invalid at Release.
 func (r *Region) Bytes() []byte {
 	if ringdebugEnabled {
 		r.debugCheckAlive("Bytes")
 	}
-	return r.data //ringlint:allow guardedby -- caller holds a reference; data only changes when refs reaches zero
+	return r.data
 }
 
 // Len returns the mapped length in bytes.
@@ -64,64 +55,30 @@ func (r *Region) Len() int {
 	if ringdebugEnabled {
 		r.debugCheckAlive("Len")
 	}
-	return len(r.data) //ringlint:allow guardedby -- caller holds a reference; data only changes when refs reaches zero
+	return len(r.data)
 }
 
 // Mapped reports whether the bytes are a real file mapping (false on
 // fallback platforms and for empty files).
-func (r *Region) Mapped() bool { return r.mapped } //ringlint:allow guardedby -- caller holds a reference; mapped only changes when refs reaches zero
+func (r *Region) Mapped() bool { return r.mapped }
 
-// Path returns the file the region was mapped from.
-func (r *Region) Path() string { return r.path }
-
-// Retain adds a reference and returns r for chaining.
-func (r *Region) Retain() *Region {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.refs <= 0 {
-		panic("mman: Retain after the region was unmapped")
-	}
-	r.refs++
-	if ringdebugEnabled {
-		r.debugCountRetainLocked()
-	}
-	return r
-}
-
-// Release drops a reference, unmapping when the count reaches zero. It
-// is an error to release more times than the region was retained.
+// Release unmaps the region. Only the first call unmaps; any later one
+// returns an error.
 func (r *Region) Release() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.refs <= 0 {
+	if !r.released.CompareAndSwap(false, true) {
 		return fmt.Errorf("mman: Release of already-unmapped region %s", r.path)
 	}
-	r.refs--
-	if ringdebugEnabled {
-		r.debugCountReleaseLocked()
-	}
-	if r.refs > 0 {
-		return nil
-	}
-	if ringdebugEnabled {
-		r.debugCheckBalanceLocked()
-	}
-	return r.unmapLocked()
-}
-
-// Refs returns the current reference count (for tests and stats).
-func (r *Region) Refs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.refs
-}
-
-func (r *Region) unmapLocked() error {
-	data := r.data
-	r.data = nil
 	if !r.mapped {
 		return nil
 	}
-	r.mapped = false
-	return unmapBytes(data)
+	return unmapBytes(r.data)
+}
+
+// debugCheckAlive is the ringdebug use-after-unmap assertion: a view
+// read after Release, which on a real mapping is a SIGSEGV waiting for
+// an unlucky page.
+func (r *Region) debugCheckAlive(op string) {
+	if r.released.Load() {
+		panic(fmt.Sprintf("ringdebug: mman: %s on %s after the region was unmapped", op, r.path))
+	}
 }

@@ -1,11 +1,11 @@
-//go:build !linux && !darwin
+//go:build !linux
 
 package mman
 
 import "os"
 
-// mapFile on platforms without a wired-up mmap reads the file into an
-// anonymous slice: same bytes, same Region lifecycle, no shared pages.
+// mapFile off Linux reads the file into an anonymous slice: same bytes,
+// same Region lifecycle, no shared pages.
 func mapFile(path string) ([]byte, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

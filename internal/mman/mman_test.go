@@ -27,46 +27,22 @@ func TestMapReadsContents(t *testing.T) {
 	if r.Len() != len(want) || !bytes.Equal(r.Bytes(), want) {
 		t.Fatalf("mapped %d bytes, mismatch with %d written", r.Len(), len(want))
 	}
-	if r.Path() != path {
-		t.Errorf("Path = %q, want %q", r.Path(), path)
-	}
 }
 
+// TestRefcountLifecycle pins the single-owner lifecycle: the first
+// Release unmaps, a second one errors instead of unmapping twice.
 func TestRefcountLifecycle(t *testing.T) {
 	path := writeFile(t, "idx", []byte("0123456789abcdef"))
 	r, err := Map(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Refs() != 1 {
-		t.Fatalf("fresh region has %d refs, want 1", r.Refs())
-	}
-	if r.Retain() != r || r.Refs() != 2 {
-		t.Fatalf("after Retain: %d refs, want 2", r.Refs())
-	}
 	if err := r.Release(); err != nil {
 		t.Fatal(err)
-	}
-	if r.Refs() != 1 {
-		t.Fatalf("after first Release: %d refs, want 1", r.Refs())
-	}
-	if err := r.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Refs() != 0 {
-		t.Fatalf("after final Release: %d refs, want 0", r.Refs())
 	}
 	if err := r.Release(); err == nil {
-		t.Error("over-release did not error")
+		t.Error("second Release did not error")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Retain after unmap did not panic")
-			}
-		}()
-		r.Retain()
-	}()
 }
 
 func TestEmptyFile(t *testing.T) {
@@ -89,27 +65,5 @@ func TestEmptyFile(t *testing.T) {
 func TestMissingFile(t *testing.T) {
 	if _, err := Map(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("mapping a missing file did not error")
-	}
-}
-
-// TestBytesSurviveRetain checks that the contents remain readable while
-// any reference is held, which is what the checkpoint-install path
-// relies on when an old ring and a new snapshot briefly share a region.
-func TestBytesSurviveRetain(t *testing.T) {
-	want := []byte("shared across generations")
-	path := writeFile(t, "idx", want)
-	r, err := Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Retain()
-	if err := r.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r.Bytes(), want) {
-		t.Fatal("contents changed while a reference was held")
-	}
-	if err := r.Release(); err != nil {
-		t.Fatal(err)
 	}
 }

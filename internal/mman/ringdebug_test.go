@@ -21,19 +21,19 @@ func debugRegion(t *testing.T) *Region {
 	return r
 }
 
-// TestDebugBalancedLifetime: a balanced retain/release history unmaps
-// without tripping the balance assertion.
+// TestDebugBalancedLifetime: the owner's one Release unmaps without
+// tripping an assertion, and a second Release errors rather than
+// panicking or unmapping twice.
 func TestDebugBalancedLifetime(t *testing.T) {
 	r := debugRegion(t)
-	r.Retain()
-	r.Retain()
-	for i := 0; i < 3; i++ {
-		if err := r.Release(); err != nil {
-			t.Fatalf("release %d: %v", i, err)
-		}
+	if got := string(r.Bytes()); got != "ringdebug region payload" {
+		t.Fatalf("Bytes = %q before Release", got)
 	}
-	if r.Refs() != 0 {
-		t.Fatalf("refs = %d after balanced lifetime, want 0", r.Refs())
+	if err := r.Release(); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	if err := r.Release(); err == nil {
+		t.Fatal("second Release did not error")
 	}
 }
 

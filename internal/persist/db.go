@@ -16,7 +16,6 @@ import (
 	"time"
 
 	wcoring "repro"
-	"repro/internal/bits"
 	"repro/internal/dict"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -36,14 +35,6 @@ type Options struct {
 	// checkpoints; flushes happen inline on the writer and checkpoints
 	// only when Checkpoint is called. Tests use this for determinism.
 	NoBackground bool
-	// Mmap loads checkpointed ring files through read-only memory
-	// mappings instead of reading them into heap buffers, both at Open
-	// and when a checkpoint installs freshly written files. Either way the
-	// ring is viewed in place (ring.View) and only the o(n) rank/select
-	// directories are rebuilt; with Mmap the bulk payload stays in the
-	// page cache, shared across processes, and a checkpoint swaps the
-	// heap-built ring for its mapped file.
-	Mmap bool
 }
 
 // DB is a durable dynamic store: a write-ahead log in front of a
@@ -76,12 +67,14 @@ type DB struct {
 	//ringlint:derived
 	//ringlint:guarded-by cpMu
 	ringFiles map[*ring.Ring]ringRef
-	// regions maps view-loaded rings to their file mappings (Mmap mode
-	// only), by pointer identity; guarded by cpMu. The entry keeps ring
-	// and mapping alive together; once a ring leaves the map (its file
-	// superseded), a finalizer set in viewRingFile releases the mapping
-	// when the last snapshot lets go of the ring. Rebuilt at Open, never
-	// serialized.
+	// regions maps view-loaded rings to their file mappings, by pointer
+	// identity; guarded by cpMu. Every checkpointed ring is mapped, at
+	// Open or at the install that wrote it, except one whose mapping
+	// failed at install and whose heap-built twin kept serving. The
+	// entry keeps ring and mapping alive together; once a ring leaves the
+	// map (its file superseded), a finalizer set in viewRingFile releases
+	// the mapping when the last snapshot lets go of the ring. Rebuilt at
+	// Open, never serialized.
 	//ringlint:derived
 	//ringlint:guarded-by cpMu
 	regions map[*ring.Ring]*mman.Region
@@ -102,8 +95,8 @@ type DB struct {
 	// lastInstallNanos is the duration of the last checkpoint's install
 	// phase: mapping freshly written ring files, swapping them into the
 	// store, and installing the manifest — everything after the O(new
-	// data) file writes. With Mmap it stays O(directories), which is the
-	// point of the zero-copy load path.
+	// data) file writes. It stays O(directories): a view rebuilds only
+	// the rank/select directories, never the payload.
 	lastInstallNanos atomic.Int64
 	// Recovery observations, derived from replaying the WAL tail at Open —
 	// pure reporting state, never written back to disk.
@@ -128,11 +121,9 @@ type Stats struct {
 	Compactions     uint64
 	Checkpoints     uint64
 	ManifestVersion uint64
-	// Mmap reports whether the zero-copy load path is active;
 	// MappedRings/MappedBytes count the live file mappings, and
 	// LastInstallSeconds is the duration of the last checkpoint's
 	// install phase (map + swap + manifest, excluding file writes).
-	Mmap               bool
 	MappedRings        int
 	MappedBytes        int64
 	LastInstallSeconds float64
@@ -183,18 +174,11 @@ func Open(dir string, opt Options) (*DB, error) {
 			return nil, fmt.Errorf("%w: dictionary smaller than manifest domains", ErrCorrupt)
 		}
 		for _, ref := range man.Rings {
-			var r *ring.Ring
-			if opt.Mmap {
-				var reg *mman.Region
-				if r, reg, err = viewRingFile(dir, ref); err == nil {
-					db.regions[r] = reg
-				}
-			} else {
-				r, err = readRingFile(dir, ref)
-			}
+			r, reg, err := viewRingFile(dir, ref)
 			if err != nil {
 				return nil, err
 			}
+			db.regions[r] = reg
 			rings = append(rings, r)
 		}
 	} else {
@@ -287,12 +271,21 @@ func (db *DB) recover() (nextSeg, nextBatch uint64, err error) {
 	return nextSeg, nextBatch, nil
 }
 
+// readDictFile loads the dictionary snapshot, rejecting a file whose
+// length differs from the one the manifest recorded.
 func readDictFile(dir string, ref fileRef) (*dict.Dictionary, error) {
 	f, err := os.Open(filepath.Join(dir, ref.Name))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() != ref.Bytes {
+		return nil, fmt.Errorf("%w: %s is %d bytes, manifest says %d", ErrCorrupt, ref.Name, fi.Size(), ref.Bytes)
+	}
 	d, err := dict.Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", ref.Name, err)
@@ -300,27 +293,13 @@ func readDictFile(dir string, ref fileRef) (*dict.Dictionary, error) {
 	return d, nil
 }
 
-// readRingFile loads a checkpointed ring file onto the heap: the file is
-// read whole into an aligned buffer, which the ring's payloads alias.
-func readRingFile(dir string, ref ringRef) (*ring.Ring, error) {
-	f, err := os.Open(filepath.Join(dir, ref.Name))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	b, err := bits.ReadAligned(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", ref.Name, err)
-	}
-	return viewRing(b, ref)
-}
-
 // viewRingFile maps a checkpointed ring file and loads it in place: the
 // bulk word payloads alias the mapping, only the rank/select directories
-// are rebuilt. The mapping's lifetime is tied to the ring with a
-// finalizer, so a query or pinned snapshot still iterating the ring after
-// a generation swap keeps the pages mapped until it lets go — the
-// refcounted unmap the live path relies on.
+// are rebuilt. The file must be exactly the ring the manifest recorded:
+// its length, the bytes ring.View consumes and the triple count all
+// match the manifest entry. The mapping's lifetime is tied to the ring
+// with a finalizer, so a query or pinned snapshot still iterating the
+// ring after a generation swap keeps the pages mapped until it lets go.
 func viewRingFile(dir string, ref ringRef) (*ring.Ring, *mman.Region, error) {
 	reg, err := mman.Map(filepath.Join(dir, ref.Name))
 	if err != nil {
@@ -335,12 +314,18 @@ func viewRingFile(dir string, ref ringRef) (*ring.Ring, *mman.Region, error) {
 	return r, reg, nil
 }
 
-// viewRing decodes a ring file's bytes, wherever they live, and checks
-// the ring against its manifest entry.
+// viewRing decodes a ring file's bytes and checks them against the
+// file's manifest entry.
 func viewRing(b []byte, ref ringRef) (*ring.Ring, error) {
-	r, _, err := ring.View(b)
+	if int64(len(b)) != ref.Bytes {
+		return nil, fmt.Errorf("%w: %s is %d bytes, manifest says %d", ErrCorrupt, ref.Name, len(b), ref.Bytes)
+	}
+	r, n, err := ring.View(b)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", ref.Name, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, ref.Name, err)
+	}
+	if n != len(b) {
+		return nil, fmt.Errorf("%w: %s holds %d bytes after its ring", ErrCorrupt, ref.Name, len(b)-n)
 	}
 	if r.Len() != ref.Triples {
 		return nil, fmt.Errorf("%w: %s holds %d triples, manifest says %d", ErrCorrupt, ref.Name, r.Len(), ref.Triples)
@@ -647,28 +632,34 @@ func (db *DB) checkpoint() error {
 		return err
 	}
 
-	// Install phase: everything after the O(new data) file writes. In
-	// Mmap mode each freshly written ring file is mapped and view-loaded
-	// — no re-decode, only directory rebuilds — and swapped in for its
-	// heap-built twin, so the heap copy becomes collectable as soon as
-	// the last pinned snapshot drops it.
+	// Install phase: everything after the O(new data) file writes. Each
+	// freshly written ring file is mapped and view-loaded — no re-decode,
+	// only directory rebuilds. A file that fails the view checks fails the
+	// checkpoint here, before a manifest names it; a file that cannot be
+	// mapped leaves its heap-built ring serving.
 	installStart := time.Now()
-	if db.opt.Mmap {
-		for _, wr := range written {
-			mr, reg, err := viewRingFile(db.dir, wr.ref)
-			if err != nil {
-				// The heap ring keeps serving; the mapping is only an
-				// optimization. The manifest still references the file.
-				continue
-			}
-			if db.store.ReplaceRing(wr.r, mr) {
-				delete(newFiles, wr.r)
-				newFiles[mr] = wr.ref
-				db.regions[mr] = reg
-			}
-			// Otherwise the ring was merged away while we wrote; the
-			// dropped mapped ring's finalizer releases the mapping.
+	type viewedRing struct {
+		heap, mapped *ring.Ring
+		reg          *mman.Region
+		ref          ringRef
+	}
+	var viewed []viewedRing
+	dropViews := func() {
+		for _, v := range viewed {
+			runtime.SetFinalizer(v.mapped, nil)
+			v.reg.Release()
 		}
+	}
+	for _, wr := range written {
+		mr, reg, err := viewRingFile(db.dir, wr.ref)
+		if errors.Is(err, ErrCorrupt) {
+			dropViews()
+			return err
+		}
+		if err != nil {
+			continue
+		}
+		viewed = append(viewed, viewedRing{heap: wr.r, mapped: mr, reg: reg, ref: wr.ref})
 	}
 	m := &manifest{
 		Version:    version,
@@ -683,9 +674,24 @@ func (db *DB) checkpoint() error {
 		Rings:      newRefs,
 	}
 	if err := m.install(db.dir); err != nil {
+		// Nothing serves from the new files yet, so a retry may rewrite
+		// them under the same names.
+		dropViews()
 		return err
 	}
 	db.man = m
+	// Only now, with the manifest naming the files, do the mapped rings
+	// replace their heap-built twins; the heap copies become collectable
+	// as soon as the last pinned snapshot drops them.
+	for _, v := range viewed {
+		if db.store.ReplaceRing(v.heap, v.mapped) {
+			delete(newFiles, v.heap)
+			newFiles[v.mapped] = v.ref
+			db.regions[v.mapped] = v.reg
+		}
+		// Otherwise the ring was merged away while we wrote; the dropped
+		// mapped ring's finalizer releases the mapping.
+	}
 	db.ringFiles = newFiles
 	for r := range db.regions {
 		if _, ok := newFiles[r]; !ok {
@@ -843,7 +849,6 @@ func (db *DB) Stats() Stats {
 		RecoveryOps:     db.recoveryOps.Load(),
 		RecoveryTorn:    db.tornTail.Load(),
 
-		Mmap:               db.opt.Mmap,
 		MappedRings:        mappedRings,
 		MappedBytes:        mappedBytes,
 		LastInstallSeconds: time.Duration(db.lastInstallNanos.Load()).Seconds(),

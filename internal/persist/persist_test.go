@@ -411,6 +411,55 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestSnapshotFileSizeChecked: a snapshot file whose length differs from
+// the one its manifest recorded — bytes appended, bytes cut, the file
+// emptied — fails Open with ErrCorrupt naming the file, rather than
+// loading a ring or dictionary with garbage beside it.
+func TestSnapshotFileSizeChecked(t *testing.T) {
+	cases := []struct {
+		name   string
+		glob   string
+		resize func([]byte) []byte
+	}{
+		{"ring+1", "ring-*.ring", func(b []byte) []byte { return append(b, 0) }},
+		{"ring-1", "ring-*.ring", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"ring-empty", "ring-*.ring", func([]byte) []byte { return nil }},
+		{"dict+1", "dict-*.dict", func(b []byte) []byte { return append(b, 0) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openTest(t, dir, false)
+			for i := 0; i < 20; i++ {
+				db.InsertBatch([]dict.StringTriple{tr(fmt.Sprintf("s%d", i), "p", "o")}, true)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+
+			files, _ := filepath.Glob(filepath.Join(dir, c.glob))
+			if len(files) == 0 {
+				t.Fatalf("no %s file after checkpoint", c.glob)
+			}
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(files[0], c.resize(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(dir, Options{NoBackground: true})
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), filepath.Base(files[0])) {
+				t.Errorf("error %q does not name %s", err, filepath.Base(files[0]))
+			}
+		})
+	}
+}
+
 func TestInspect(t *testing.T) {
 	dir := t.TempDir()
 	db := openTest(t, dir, false)

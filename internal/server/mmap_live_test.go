@@ -9,14 +9,15 @@ import (
 	"strings"
 	"testing"
 
+	wcoring "repro"
 	"repro/internal/persist"
 )
 
 // canonQuery runs an ordered, deterministic query and flattens the
 // solutions for comparison.
-func canonQuery(t *testing.T, ts *stServer, pattern []PatternJSON) string {
+func canonQuery(t *testing.T, ts *httptest.Server, pattern []PatternJSON) string {
 	t.Helper()
-	qr, code := postQuery(t, ts.ts, QueryRequest{Pattern: pattern, NoCache: true})
+	qr, code := postQuery(t, ts, QueryRequest{Pattern: pattern, NoCache: true})
 	if code != http.StatusOK {
 		t.Fatalf("query: status %d", code)
 	}
@@ -33,25 +34,16 @@ func canonQuery(t *testing.T, ts *stServer, pattern []PatternJSON) string {
 	return strings.Join(keys, ";")
 }
 
-type stServer struct {
-	srv *Server
-	ts  *httptest.Server
-	db  *persist.DB
-}
-
-// TestLiveMmapDifferential drives an identical mutation/checkpoint
-// schedule through a plain live server and an Mmap one: after every
-// phase — including the checkpoint that swaps heap rings for view-loaded
-// mappings — both must answer every query identically.
+// TestLiveMmapDifferential drives a mutation/checkpoint schedule through
+// a live server and, after every phase — including the checkpoint that
+// swaps heap rings for view-loaded mappings — compares its answers with
+// a static server over wcoring.NewStore of the same triples: an
+// in-memory reference that shares no load code with the live server.
 func TestLiveMmapDifferential(t *testing.T) {
-	mk := func(mmap bool) *stServer {
-		srv, ts, db := newLiveServer(t, persist.Options{
-			MemtableThreshold: 8, MaxRings: 64, NoBackground: true, Mmap: mmap,
-		})
-		return &stServer{srv: srv, ts: ts, db: db}
-	}
-	plain, mapped := mk(false), mk(true)
-	servers := []*stServer{plain, mapped}
+	_, live, db := newLiveServer(t, persist.Options{
+		MemtableThreshold: 8, MaxRings: 64, NoBackground: true,
+	})
+	model := map[TripleJSON]bool{}
 
 	queries := [][]PatternJSON{
 		{{S: "?x", P: "knows", O: "?y"}},
@@ -60,21 +52,40 @@ func TestLiveMmapDifferential(t *testing.T) {
 	}
 	check := func(phase string) {
 		t.Helper()
+		var trs []wcoring.StringTriple
+		for tr := range model {
+			trs = append(trs, wcoring.StringTriple{S: tr.S, P: tr.P, O: tr.O})
+		}
+		st, err := wcoring.NewStore(trs, wcoring.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ref := newTestServer(t, Config{Store: st})
 		for qi, q := range queries {
-			want := canonQuery(t, plain, q)
-			got := canonQuery(t, mapped, q)
+			want := canonQuery(t, ref, q)
+			got := canonQuery(t, live, q)
 			if got != want {
-				t.Fatalf("%s query %d: mmap %q, plain %q", phase, qi, got, want)
+				t.Fatalf("%s query %d: live %q, reference %q", phase, qi, got, want)
 			}
 		}
 	}
-
-	insert := func(trs []TripleJSON) {
+	mutate := func(path string, trs []TripleJSON) {
 		t.Helper()
-		for _, s := range servers {
-			if _, code := postMutation(t, s.ts, "/insert", MutationRequest{Triples: trs}); code != http.StatusOK {
-				t.Fatalf("insert: status %d", code)
+		if _, code := postMutation(t, live, path, MutationRequest{Triples: trs}); code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, code)
+		}
+		for _, tr := range trs {
+			if path == "/insert" {
+				model[tr] = true
+			} else {
+				delete(model, tr)
 			}
+		}
+	}
+	checkpoint := func() {
+		t.Helper()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
 		}
 	}
 
@@ -82,42 +93,30 @@ func TestLiveMmapDifferential(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		batch = append(batch, TripleJSON{S: fmt.Sprintf("n%d", i), P: "knows", O: fmt.Sprintf("n%d", (i+1)%20)})
 	}
-	insert(batch)
+	mutate("/insert", batch)
 	check("after inserts")
 
-	for _, s := range servers {
-		if err := s.db.Checkpoint(); err != nil {
-			t.Fatalf("Checkpoint: %v", err)
-		}
-	}
+	checkpoint()
 	check("after checkpoint swap")
-	st := mapped.db.Stats()
-	if st.MappedRings == 0 {
-		t.Fatal("mmap server has no mapped rings after checkpoint")
+	if db.Stats().MappedRings == 0 {
+		t.Fatal("no mapped rings after checkpoint")
 	}
 
 	// Mutate across the installed views, checkpoint again, delete some.
-	insert([]TripleJSON{{S: "n0", P: "likes", O: "n5"}, {S: "n5", P: "likes", O: "n9"}})
+	mutate("/insert", []TripleJSON{{S: "n0", P: "likes", O: "n5"}, {S: "n5", P: "likes", O: "n9"}})
 	check("after post-swap inserts")
-	for _, s := range servers {
-		if _, code := postMutation(t, s.ts, "/delete", MutationRequest{Triples: []TripleJSON{
-			{S: "n1", P: "knows", O: "n2"},
-		}}); code != http.StatusOK {
-			t.Fatalf("delete: status %d", code)
-		}
-		if err := s.db.Checkpoint(); err != nil {
-			t.Fatalf("second Checkpoint: %v", err)
-		}
-	}
+	mutate("/delete", []TripleJSON{{S: "n1", P: "knows", O: "n2"}})
+	checkpoint()
 	check("after delete and second checkpoint")
 }
 
-// TestLiveMmapObservability checks the serving metrics of the zero-copy
-// path: /metrics must report the mmap load mode, a mapped byte count and
-// a snapshot install time, and /stats must carry the mapped section.
+// TestLiveMmapObservability checks the serving metrics of the mapped
+// load: /metrics must report a mapped byte count and a snapshot install
+// time and no load-mode series, and /stats must carry the mapped
+// section.
 func TestLiveMmapObservability(t *testing.T) {
 	_, ts, db := newLiveServer(t, persist.Options{
-		MemtableThreshold: 8, MaxRings: 64, NoBackground: true, Mmap: true,
+		MemtableThreshold: 8, MaxRings: 64, NoBackground: true,
 	})
 	var batch []TripleJSON
 	for i := 0; i < 20; i++ {
@@ -137,8 +136,10 @@ func TestLiveMmapObservability(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	metrics := string(body)
+	if strings.Contains(metrics, "load_mode") {
+		t.Error("/metrics still exports a load-mode series")
+	}
 	for _, want := range []string{
-		`ringserve_index_load_mode{mode="mmap"} 1`,
 		"ringserve_index_bytes_mapped",
 		"ringserve_snapshot_install_seconds",
 	} {
@@ -154,7 +155,7 @@ func TestLiveMmapObservability(t *testing.T) {
 	sbody, _ := io.ReadAll(sresp.Body)
 	sresp.Body.Close()
 	stats := string(sbody)
-	for _, want := range []string{`"mapped"`, `"mode":"mmap"`, `"bytes_mapped"`} {
+	for _, want := range []string{`"mapped"`, `"bytes_mapped"`} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("/stats missing %q; body: %s", want, stats)
 		}

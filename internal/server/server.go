@@ -149,13 +149,12 @@ type Server struct {
 
 // LoadInfo records how the index got into memory. The loader
 // (cmd/ringserve) sets it once after the initial load; /metrics and
-// /stats report the mode, mapped footprint and startup load time from
-// it. In live mode the mapped footprint evolves with checkpoints, so
+// /stats report the mapped footprint and startup load time from it. In
+// live mode the mapped footprint evolves with checkpoints, so
 // scrape-time values come from persist.Stats instead and LoadInfo
-// contributes only the mode and initial load time.
+// contributes only the initial load time.
 type LoadInfo struct {
-	Mode        string  // "decode" or "mmap"
-	BytesMapped int64   // bytes aliased from file mappings (0 in decode mode)
+	BytesMapped int64   // bytes aliased from file mappings
 	Regions     int     // file mappings backing the index
 	Seconds     float64 // wall-clock time of the initial load
 }
@@ -302,39 +301,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeReplProm(w, s.repl.Load())
 }
 
-// writeLoadProm renders the index-load series: load mode and startup
-// latency from the one-time LoadInfo record, and the mapped footprint —
-// which in live mode changes with every checkpoint — from the current
-// persist stats when available.
+// writeLoadProm renders the index-load series: startup latency from the
+// one-time LoadInfo record, and the mapped footprint — which in live
+// mode changes with every checkpoint — from the current persist stats
+// when available.
 func (s *Server) writeLoadProm(w io.Writer, pst *persist.Stats) {
 	li := s.loadInfo.Load()
 	if li == nil && pst == nil {
 		return
 	}
-	mode := "decode"
 	var bytesMapped int64
 	var loadSecs float64
 	if li != nil {
-		mode = li.Mode
 		bytesMapped = li.BytesMapped
 		loadSecs = li.Seconds
 	}
 	if pst != nil {
-		if pst.Mmap {
-			mode = "mmap"
-		}
 		bytesMapped = pst.MappedBytes
 	}
 	writeFloatGauge(w, "ringserve_index_load_seconds", "Wall-clock seconds of the initial index load.", loadSecs)
-	writeGaugeValue(w, "ringserve_index_bytes_mapped", "Bytes of index data backed by file mappings (0 in decode mode).", bytesMapped)
-	fmt.Fprintf(w, "# HELP ringserve_index_load_mode Index load mode; the active mode has value 1.\n# TYPE ringserve_index_load_mode gauge\n")
-	for _, m := range []string{"decode", "mmap"} {
-		v := 0
-		if m == mode {
-			v = 1
-		}
-		fmt.Fprintf(w, "ringserve_index_load_mode{mode=%q} %d\n", m, v)
-	}
+	writeGaugeValue(w, "ringserve_index_bytes_mapped", "Bytes of index data backed by file mappings.", bytesMapped)
 	if pst != nil {
 		writeFloatGauge(w, "ringserve_snapshot_install_seconds", "Install phase of the last checkpoint: map (or keep) new rings, swap them in, install the manifest.", pst.LastInstallSeconds)
 	}
@@ -354,8 +340,8 @@ type statsResponse struct {
 	// Persist is present in live mode only: durability and ingestion
 	// state of the backing data directory.
 	Persist *persistStatsJSON `json:"persist,omitempty"`
-	// Mapped is present once load info is recorded: how the index got
-	// into memory and the current file-mapped footprint.
+	// Mapped is present once load info is recorded: the current
+	// file-mapped footprint and how long loading took.
 	Mapped *mappedStatsJSON `json:"mapped,omitempty"`
 	// Repl is present on replication-enabled nodes: follower position and
 	// lag, or stream counts on a leader.
@@ -393,7 +379,6 @@ func (s *Server) replStats() *replStatsJSON {
 
 // mappedStatsJSON is the "mapped" section of GET /stats.
 type mappedStatsJSON struct {
-	Mode               string  `json:"mode"` // "decode" or "mmap"
 	BytesMapped        int64   `json:"bytes_mapped"`
 	Regions            int     `json:"regions"`
 	LoadSeconds        float64 `json:"load_seconds"`
@@ -407,17 +392,13 @@ func (s *Server) mappedStats(pst *persist.Stats) *mappedStatsJSON {
 	if li == nil && pst == nil {
 		return nil
 	}
-	out := &mappedStatsJSON{Mode: "decode"}
+	out := &mappedStatsJSON{}
 	if li != nil {
-		out.Mode = li.Mode
 		out.BytesMapped = li.BytesMapped
 		out.Regions = li.Regions
 		out.LoadSeconds = li.Seconds
 	}
 	if pst != nil {
-		if pst.Mmap {
-			out.Mode = "mmap"
-		}
 		out.BytesMapped = pst.MappedBytes
 		out.Regions = pst.MappedRings
 		out.LastInstallSeconds = pst.LastInstallSeconds

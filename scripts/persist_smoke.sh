@@ -125,7 +125,8 @@ if [ "$n" != 2 ]; then
 fi
 metrics=$(curl -fsS "$BASE/metrics")
 for series in ringserve_wal_appended_total ringserve_memtable_triples \
-    ringserve_static_rings ringserve_manifest_version; do
+    ringserve_static_rings ringserve_manifest_version \
+    ringserve_snapshot_install_seconds; do
     case "$metrics" in
     *"$series"*) ;;
     *)
