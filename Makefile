@@ -15,9 +15,10 @@
 #               file mapping is Linux-only, every other platform takes
 #               the file-read fallback
 #   make test   full test suite, shuffled (includes the fuzz seed corpora)
-#   make test-debug  internal packages with the ringdebug assertion tag
-#               (rank/select inverses, wavelet range sanity, leap ordering,
-#               the last-variable Bind normal builds skip)
+#   make test-debug  the root package and the internal packages with the
+#               ringdebug assertion tag (rank/select inverses, wavelet range
+#               sanity, leap ordering, the binds normal builds elide, every
+#               replayed lonely enumeration re-run and compared)
 #   make race   race-detector lane over the full module (~4m on a
 #               single-CPU container; rerun alone when iterating)
 #   make bench  the parallel-LTJ sweep benchmark, one iteration
@@ -84,7 +85,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 test-debug:
-	$(GO) test -tags ringdebug ./internal/...
+	$(GO) test -tags ringdebug . ./internal/...
 
 race:
 	$(GO) test -race ./...

@@ -17,23 +17,23 @@ import (
 	"repro/internal/wavelet"
 )
 
-// batchRuns decides whether variable j takes the batched lane and, if
-// so, collects the iterators' candidate ranges into the evaluator's
-// per-depth buffer (per-depth because the ranges stay live for the whole
-// IntersectRanges walk, across the recursion into deeper variables). The
-// lane requires ≥2 iterators (a lone iterator is the lonely/enumerate
-// case), single-position occurrences, RunLeaper support under the
-// current bindings and equal matrix widths. Range length is not a
-// condition: the descent beats the seek loop down to ranges of one entry
-// (DESIGN.md §13 has the sweep), and an empty range ends it at the root.
+// batchRuns decides whether depth d takes the batched lane and, if so,
+// collects the iterators' candidate ranges into d's buffer (per-depth
+// because the ranges stay live for the whole IntersectRanges walk, across
+// the recursion into deeper variables). The lane requires ≥2 iterators (a
+// lone iterator is the lonely/enumerate case), single-position
+// occurrences, RunLeaper support under the current bindings and equal
+// matrix widths. Range length is not a condition: the descent beats the
+// seek loop down to ranges of one entry (DESIGN.md §13 has the sweep), and
+// an empty range ends it at the root.
 //
 //ringlint:hotpath allow-dispatch -- capability probe and LeapRun on the index-generic iterator
-func (e *evaluator) batchRuns(j int, ivs []iterVar) ([]wavelet.MatrixRange, bool) {
-	if e.opt.DisableBatch || len(ivs) < 2 {
+func (e *evaluator) batchRuns(d *depth) ([]wavelet.MatrixRange, bool) {
+	if e.opt.DisableBatch || len(d.ivs) < 2 {
 		return nil, false
 	}
-	rs := e.runBufs[j][:0]
-	for _, iv := range ivs {
+	rs := d.runs[:0]
+	for _, iv := range d.ivs {
 		if len(iv.positions) != 1 {
 			return nil, false
 		}
@@ -47,7 +47,6 @@ func (e *evaluator) batchRuns(j int, ivs []iterVar) ([]wavelet.MatrixRange, bool
 		}
 		rs = append(rs, r)
 	}
-	e.runBufs[j] = rs
 	return rs, true
 }
 
@@ -68,7 +67,7 @@ func (e *evaluator) searchBatched(j int, ivs []iterVar, rs []wavelet.MatrixRange
 			e.debugCheckBatchEmit(ivs, v, prev, havePrev)
 			prev, havePrev = v, true
 		}
-		rerr = e.descend(j, ivs, v)
+		rerr = e.descend(j, v)
 		return rerr == nil && !e.stopped
 	})
 	return rerr

@@ -2,6 +2,7 @@ package ltj
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -35,20 +36,33 @@ func (e *evaluator) debugCheckBatchEmit(ivs []iterVar, v, prev graph.ID, havePre
 	}
 }
 
-// debugCheckElidedBind performs the binds descend skips for the last
-// variable of the order and asserts what the elision rests on: every
-// iterator that mentions the variable stays non-empty under v.
-func debugCheckElidedBind(ivs []iterVar, v graph.ID) {
-	for _, iv := range ivs {
-		for _, pos := range iv.positions {
-			iv.it.Bind(pos, v)
-		}
-		empty := iv.it.Empty()
-		for range iv.positions {
-			iv.it.Unbind()
-		}
-		if empty {
-			panic(fmt.Sprintf("ringdebug: ltj: last-variable value %d leaves an iterator empty — the elided Bind was not redundant", v))
-		}
+// debugCheckElidedBind performs a bind descend skips — the iterator is
+// read by no deeper variable — and asserts what the elision rests on: the
+// iterator stays non-empty under v.
+func debugCheckElidedBind(iv *iterVar, v graph.ID) {
+	for _, pos := range iv.positions {
+		iv.it.Bind(pos, v)
+	}
+	empty := iv.it.Empty()
+	for range iv.positions {
+		iv.it.Unbind()
+	}
+	if empty {
+		panic(fmt.Sprintf("ringdebug: ltj: value %d leaves pattern %d empty — the elided Bind was not redundant", v, iv.pat))
+	}
+}
+
+// debugCheckReplay re-runs the enumeration a replay stands in for and
+// asserts that it yields the recorded sequence: the pattern's range is the
+// one the record was taken under.
+func debugCheckReplay(d *depth) {
+	iv := &d.ivs[0]
+	var fresh []graph.ID
+	iv.it.Enumerate(iv.positions[0], func(c graph.ID) bool {
+		fresh = append(fresh, c)
+		return true
+	})
+	if !slices.Equal(fresh, d.record) {
+		panic(fmt.Sprintf("ringdebug: ltj: replay of pattern %d holds %d values, a fresh enumeration %d (or in another order) — the replay key is stale", iv.pat, len(d.record), len(fresh)))
 	}
 }

@@ -19,21 +19,23 @@ import (
 // Atomic because parallel workers bind on their own iterators.
 type bindCounts struct {
 	binds, unbinds atomic.Int64
-	lastBinds      atomic.Int64 // binds of the order's last variable
+	deadBinds      atomic.Int64                          // binds of a pattern no deeper variable reads
+	enumerates     map[graph.TriplePattern]*atomic.Int64 // Enumerate calls per pattern of the query
 }
 
-// countingIter counts the Bind and Unbind calls the engine issues on one
-// pattern's iterator and forwards everything.
+// countingIter counts the Bind, Unbind and Enumerate calls the engine
+// issues on one pattern's iterator and forwards everything.
 type countingIter struct {
 	trieiter.Iter
-	n    *bindCounts
-	last [3]bool // the pattern's positions holding the order's last variable
+	n          *bindCounts
+	dead       [3]bool // positions holding the pattern's deepest variable in the order
+	enumerates *atomic.Int64
 }
 
 func (it *countingIter) Bind(pos graph.Position, c graph.ID) {
 	it.n.binds.Add(1)
-	if it.last[pos] {
-		it.n.lastBinds.Add(1)
+	if it.dead[pos] {
+		it.n.deadBinds.Add(1)
 	}
 	it.Iter.Bind(pos, c)
 }
@@ -43,6 +45,11 @@ func (it *countingIter) Unbind() {
 	it.Iter.Unbind()
 }
 
+func (it *countingIter) Enumerate(pos graph.Position, visit func(graph.ID) bool) {
+	it.enumerates.Add(1)
+	it.Iter.Enumerate(pos, visit)
+}
+
 // countingRunLeaper keeps the batched lane reachable through the wrapper.
 type countingRunLeaper struct{ *countingIter }
 
@@ -50,13 +57,30 @@ func (it countingRunLeaper) LeapRun(pos graph.Position) (wavelet.MatrixRange, bo
 	return it.Iter.(trieiter.RunLeaper).LeapRun(pos)
 }
 
-// counting wraps every iterator idx hands out. Parallel workers open
-// their iterators through the index too, so theirs are counted as well.
-func counting(idx ltj.Index, lastVar string, n *bindCounts) ltj.Index {
+// counting wraps every iterator idx hands out for the patterns of q,
+// evaluated in the given order. Parallel workers open their iterators
+// through the index too, so theirs are counted as well. A bind at a
+// position holding its pattern's deepest variable is dead: no deeper
+// variable reads the range it narrows.
+func counting(idx ltj.Index, q graph.Pattern, order []string, n *bindCounts) ltj.Index {
+	depth := map[string]int{}
+	for j, name := range order {
+		depth[name] = j
+	}
+	n.enumerates = map[graph.TriplePattern]*atomic.Int64{}
+	for _, tp := range q {
+		n.enumerates[tp] = new(atomic.Int64)
+	}
 	return ltj.IndexFunc(func(tp graph.TriplePattern) ltj.PatternIter {
-		it := &countingIter{Iter: idx.NewPatternIter(tp), n: n}
-		for _, pos := range tp.Positions(lastVar) {
-			it.last[pos] = true
+		it := &countingIter{Iter: idx.NewPatternIter(tp), n: n, enumerates: n.enumerates[tp]}
+		deepest := -1
+		for _, name := range tp.Vars() {
+			deepest = max(deepest, depth[name])
+		}
+		for pos := graph.PosS; pos <= graph.PosO; pos++ {
+			if t := tp.Term(pos); t.IsVar && depth[t.Name] == deepest {
+				it.dead[pos] = true
+			}
 		}
 		if _, ok := it.Iter.(trieiter.RunLeaper); ok {
 			return countingRunLeaper{it}
@@ -66,11 +90,12 @@ func counting(idx ltj.Index, lastVar string, n *bindCounts) ltj.Index {
 }
 
 // TestLastVariableBindElision runs every index family behind counting
-// iterators and checks, on every way an evaluation can end, that (a) the
-// last variable of the order is never bound, (b) every Bind is undone by
-// the time the engine returns, and (c) EvalStats.Binds is the number of
-// Bind calls the iterators saw. ringdebug builds perform the elided binds
-// to assert them, so there only (b) is checked.
+// iterators and checks, on every way an evaluation can end, that (a) every
+// Bind hits a pattern a deeper variable reads — so the last variable of
+// the order is never bound — (b) every Bind is undone by the time the
+// engine returns, and (c) EvalStats.Binds is the number of Bind calls the
+// iterators saw. ringdebug builds perform the elided binds to assert
+// them, so there only (b) is checked.
 func TestLastVariableBindElision(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := testutil.RandomGraph(rng, 1200, 30, 3)
@@ -90,6 +115,9 @@ func TestLastVariableBindElision(t *testing.T) {
 		{"variable predicate last", graph.Pattern{graph.TP(v("x"), v("p"), v("y")), graph.TP(v("y"), c(0), v("z"))}, []string{"y", "z", "x", "p"}, false},
 		{"one variable", graph.Pattern{graph.TP(c(ts[0].S), c(ts[0].P), v("y"))}, []string{"y"}, false},
 		{"self loop", graph.Pattern{graph.TP(v("x"), v("p"), v("x")), graph.TP(v("x"), c(1), v("y"))}, []string{"x", "p", "y"}, true},
+		{"star, independent lonely leaves", graph.Pattern{graph.TP(v("x"), c(0), v("y")), graph.TP(v("x"), c(1), v("z")), graph.TP(v("x"), c(2), v("w"))}, []string{"x", "y", "z", "w"}, false},
+		{"two lonely variables in one pattern", graph.Pattern{graph.TP(v("x"), c(0), v("y")), graph.TP(v("x"), v("p"), v("o"))}, []string{"x", "y", "o", "p"}, false},
+		{"constant-anchored lonely pattern", graph.Pattern{graph.TP(v("x"), c(0), v("y")), graph.TP(c(ts[0].S), c(ts[0].P), v("w"))}, []string{"x", "y", "w"}, false},
 	}
 
 	// Each exit returns the stats of a run that ended its own way.
@@ -151,8 +179,8 @@ func TestLastVariableBindElision(t *testing.T) {
 		for _, ix := range indexes {
 			for _, ex := range exits {
 				var n bindCounts
-				stats := ex.run(t, counting(ix.idx, qc.order[len(qc.order)-1], &n), qc.q, qc.order)
-				binds, unbinds, last := n.binds.Load(), n.unbinds.Load(), n.lastBinds.Load()
+				stats := ex.run(t, counting(ix.idx, qc.q, qc.order, &n), qc.q, qc.order)
+				binds, unbinds, dead := n.binds.Load(), n.unbinds.Load(), n.deadBinds.Load()
 				where := ix.name + " / " + qc.name + " / " + ex.name
 				if binds != unbinds {
 					t.Errorf("%s: %d Bind calls, %d Unbind calls", where, binds, unbinds)
@@ -160,8 +188,8 @@ func TestLastVariableBindElision(t *testing.T) {
 				if ltj.RingdebugEnabled {
 					continue
 				}
-				if last != 0 {
-					t.Errorf("%s: the last variable was bound %d times", where, last)
+				if dead != 0 {
+					t.Errorf("%s: %d binds in patterns no deeper variable reads", where, dead)
 				}
 				if !qc.repeats && int64(stats.Binds) != binds {
 					t.Errorf("%s: EvalStats.Binds = %d, iterators saw %d", where, stats.Binds, binds)
@@ -214,3 +242,39 @@ func TestEvaluateAllocsPerSolution(t *testing.T) {
 }
 
 var sinkBinding graph.Binding
+
+// TestStreamSlotsSetupAllocs pins what setting up a query costs: a tiny
+// anchored two-pattern join on a 1k-triple ring — one batched join
+// variable, one lonely variable — stays within 30 heap objects per
+// StreamSlots call, iterators, order and plan included. It took 64 while
+// the order was computed over maps and bind stacks grew on the heap.
+func TestStreamSlotsSetupAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := testutil.RandomGraph(rng, 1000, 40, 2)
+	r := ring.New(g, ring.Options{})
+	idx := ltj.IndexFunc(func(tp graph.TriplePattern) ltj.PatternIter { return r.NewPatternState(tp) })
+	a := g.Triples()[0]
+	q := graph.Pattern{
+		graph.TP(graph.Const(a.S), graph.Const(a.P), graph.Var("x")),
+		graph.TP(graph.Var("x"), graph.Const(a.P), graph.Var("y")),
+	}
+	var stats ltj.EvalStats
+	n := 0
+	emit := func([]string, []graph.ID) bool {
+		n++
+		return n < 100
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		n = 0
+		if err := ltj.StreamSlots(idx, q, ltj.Options{}, &stats, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n == 0 || stats.BatchDescents == 0 || stats.Enumerations == 0 {
+		t.Fatalf("%d solutions, stats %+v: the query no longer takes the batched and lonely lanes", n, stats)
+	}
+	t.Logf("%.0f objects per call (%d solutions)", allocs, n)
+	if allocs > 30 {
+		t.Errorf("StreamSlots allocates %.0f objects per call, want ≤ 30", allocs)
+	}
+}

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/trieiter"
-	"repro/internal/wavelet"
 )
 
 // PatternIter is the per-triple-pattern trie-iterator interface
@@ -119,12 +118,13 @@ type EvalStats struct {
 	// Leaps is the number of Leap calls issued.
 	Leaps int
 	// Binds is the number of Bind calls issued. It is not the number of
-	// values visited: the last variable of the order is emitted without
-	// being bound (nothing reads the narrowed ranges), so its values
-	// count under Enumerations, BatchEmits or Seeks only.
+	// values visited: a value is bound only in the iterators a deeper
+	// variable reads (nothing reads the other narrowed ranges), so the
+	// last variable's values count under Enumerations, BatchEmits or
+	// Seeks only.
 	Binds int
 	// Enumerations is the number of values produced through the
-	// lonely-variable fast path.
+	// lonely-variable fast path, replayed enumerations included.
 	Enumerations int
 	// Seeks is the number of seek() intersections run.
 	Seeks int
@@ -192,18 +192,15 @@ func StreamSlots(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit
 
 	// Create one iterator per pattern; constants are bound at creation
 	// (Lemma 3.6), so fully-constant patterns reduce to emptiness checks.
+	e.pats = make([]patternEntry, 0, len(q))
 	for _, tp := range q {
 		it := idx.NewPatternIter(tp)
-		if len(tp.Vars()) == 0 {
-			if it.Empty() {
-				return nil // an unsatisfied ground pattern kills the query
-			}
-			continue
-		}
 		if it.Empty() {
-			return nil
+			return nil // an unsatisfied pattern, ground or not, kills the query
 		}
-		e.pats = append(e.pats, patternEntry{tp: tp, it: it})
+		if tp.NumConstants() < 3 {
+			e.pats = append(e.pats, patternEntry{tp: tp, it: it})
+		}
 	}
 	if len(e.pats) == 0 {
 		// All patterns ground and satisfied: the single empty solution.
@@ -217,11 +214,9 @@ func StreamSlots(idx Index, q graph.Pattern, opt Options, stats *EvalStats, emit
 	}
 	e.order = order
 	e.vals = make([]graph.ID, len(order))
-
-	if e.varIters, err = buildVarIters(order, e.pats); err != nil {
+	if err := e.plan(); err != nil {
 		return err
 	}
-	e.runBufs = make([][]wavelet.MatrixRange, len(order))
 	if opt.Context != nil {
 		e.ctx = opt.Context
 	}
@@ -250,32 +245,9 @@ func (e *evaluator) finishErr(err error) error {
 	return err
 }
 
-// buildVarIters precomputes, per variable of the elimination order, which
-// iterators mention it and at which positions.
-func buildVarIters(order []string, pats []patternEntry) ([][]iterVar, error) {
-	varIters := make([][]iterVar, len(order))
-	for j, name := range order {
-		for i := range pats {
-			pos := pats[i].tp.Positions(name)
-			if len(pos) > 0 {
-				varIters[j] = append(varIters[j], iterVar{it: pats[i].it, positions: pos})
-			}
-		}
-		if len(varIters[j]) == 0 {
-			return nil, fmt.Errorf("ltj: variable %q not in query", name)
-		}
-	}
-	return varIters, nil
-}
-
 type patternEntry struct {
 	tp graph.TriplePattern
 	it PatternIter
-}
-
-type iterVar struct {
-	it        PatternIter
-	positions []graph.Position
 }
 
 type evaluator struct {
@@ -283,9 +255,8 @@ type evaluator struct {
 	emit     func(order []string, vals []graph.ID) bool
 	pats     []patternEntry
 	order    []string
-	varIters [][]iterVar
-	vals     []graph.ID              // vals[j] is order[j]'s value on the current search path
-	runBufs  [][]wavelet.MatrixRange // per-depth range buffers of the batched lane
+	depths   []depth    // depths[j] is the plan of order[j] (plan.go)
+	vals     []graph.ID // vals[j] is order[j]'s value on the current search path
 	deadline time.Time
 	ctx      context.Context // cancellation: Options.Context, or the workers' derived context in parallel mode
 	ticks    int
@@ -326,29 +297,19 @@ func (e *evaluator) checkDeadline() error {
 // search implements leapfrog_search(μ, j) of Algorithm 1 for j below
 // len(order); descend ends the recursion at the last variable.
 func (e *evaluator) search(j int) error {
-	ivs := e.varIters[j]
+	d := &e.depths[j]
 
 	// Lonely-variable fast path (Section 4.2): a variable in exactly one
 	// pattern, at one position, whose iterator can enumerate that position.
-	if !e.opt.DisableLonely && len(ivs) == 1 && len(ivs[0].positions) == 1 &&
-		ivs[0].it.CanEnumerate(ivs[0].positions[0]) {
-		var rerr error
-		ivs[0].it.Enumerate(ivs[0].positions[0], func(c graph.ID) bool {
-			if rerr = e.checkDeadline(); rerr != nil {
-				return false
-			}
-			e.stats.Enumerations++
-			rerr = e.descend(j, ivs, c)
-			return rerr == nil && !e.stopped
-		})
-		return rerr
+	if d.visit != nil && d.ivs[0].it.CanEnumerate(d.ivs[0].positions[0]) {
+		return e.enumerate(j, d)
 	}
 
 	// Batched radix-intersection lane (DESIGN.md §13): when every
 	// iterator of this join variable exposes its candidates as one
 	// wavelet range, a single multi-range descent replaces the seek loop.
-	if rs, ok := e.batchRuns(j, ivs); ok {
-		return e.searchBatched(j, ivs, rs)
+	if rs, ok := e.batchRuns(d); ok {
+		return e.searchBatched(j, d.ivs, rs)
 	}
 
 	// General seek loop (the while loop of leapfrog_search).
@@ -357,14 +318,14 @@ func (e *evaluator) search(j int) error {
 		if err := e.checkDeadline(); err != nil {
 			return err
 		}
-		v, ok, err := e.seek(ivs, c)
+		v, ok, err := e.seek(d.ivs, c)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return nil
 		}
-		if err := e.descend(j, ivs, v); err != nil {
+		if err := e.descend(j, v); err != nil {
 			return err
 		}
 		if e.stopped {
@@ -378,44 +339,51 @@ func (e *evaluator) search(j int) error {
 }
 
 // descend is the per-value step every lane and the parallel workers
-// share: record v as order[j]'s value, bind it in every iterator at every
-// occurrence, search the next variable, unwind (also on error paths).
+// share: record v as order[j]'s value, bind it at every occurrence in the
+// iterators a deeper variable reads, search the next variable or emit at
+// the last, and unwind (also on error paths).
 //
-// The last variable is emitted without Bind, Empty or Unbind. Nothing
-// reads the ranges those binds would narrow, and the emptiness check
-// cannot fail: Leap (Lemma 3.7), Enumerate and IntersectRanges only
-// return values that leave their pattern non-empty, and leapVar has
-// already verified a variable occurring at several positions. ringdebug
-// builds still perform the bind and assert it.
-func (e *evaluator) descend(j int, ivs []iterVar, v graph.ID) error {
+// An iterator no deeper variable reads is not bound at all, and at the
+// last variable that is every iterator. Nothing reads the range such a
+// bind would narrow, and its emptiness check cannot fail: Leap (Lemma
+// 3.7), Enumerate and IntersectRanges only return values that leave their
+// pattern non-empty, and leapVar has already verified a variable
+// occurring at several positions. ringdebug builds still perform every
+// elided bind and assert it.
+func (e *evaluator) descend(j int, v graph.ID) error {
+	d := &e.depths[j]
+	d.descents++
 	e.vals[j] = v
-	if j == len(e.order)-1 {
-		if ringdebugEnabled {
-			debugCheckElidedBind(ivs, v)
-		}
-		if !e.emit(e.order, e.vals) {
-			e.stopped = true
-		}
-		return nil
-	}
-	n := 0 // iterators bound so far
+	k := 0 // d.ivs[:k] have been visited
 	alive := true
-	for alive && n < len(ivs) {
-		iv := ivs[n]
+	for alive && k < len(d.ivs) {
+		iv := &d.ivs[k]
+		k++
+		if !iv.bind {
+			if ringdebugEnabled {
+				debugCheckElidedBind(iv, v)
+			}
+			continue
+		}
 		for _, pos := range iv.positions {
 			e.stats.Binds++
 			iv.it.Bind(pos, v)
 		}
-		n++
 		alive = !iv.it.Empty()
 	}
 	var err error
-	if alive {
+	switch {
+	case !alive:
+	case j+1 < len(e.depths):
 		err = e.search(j + 1)
+	case !e.emit(e.order, e.vals):
+		e.stopped = true
 	}
-	for _, iv := range ivs[:n] {
-		for range iv.positions {
-			iv.it.Unbind()
+	for _, iv := range d.ivs[:k] {
+		if iv.bind {
+			for range iv.positions {
+				iv.it.Unbind()
+			}
 		}
 	}
 	return err

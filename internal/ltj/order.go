@@ -3,6 +3,7 @@ package ltj
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -18,156 +19,137 @@ import (
 // along the pattern's backward chain so the index can enumerate them
 // (Section 4.2).
 func (e *evaluator) chooseOrder(q graph.Pattern) ([]string, error) {
-	// Collect the variables of the live (non-ground) patterns.
-	var vars []string
-	seen := map[string]bool{}
+	// Number the variables of the live (non-ground) patterns in first-use
+	// order: at[i][pos] is the number of the variable at position pos of
+	// pattern i, or -1 for a constant.
+	var names []string
+	at := make([][3]int, len(e.pats))
 	for i := range e.pats {
-		for _, v := range e.pats[i].tp.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
+		for pos := graph.PosS; pos <= graph.PosO; pos++ {
+			k := -1
+			if t := e.pats[i].tp.Term(pos); t.IsVar {
+				if k = slices.Index(names, t.Name); k < 0 {
+					k = len(names)
+					names = append(names, t.Name)
+				}
 			}
+			at[i][pos] = k
 		}
 	}
 
 	if e.opt.Order != nil {
-		if len(e.opt.Order) != len(vars) {
+		if len(e.opt.Order) != len(names) {
 			return nil, fmt.Errorf("ltj: explicit order has %d variables, query has %d",
-				len(e.opt.Order), len(vars))
+				len(e.opt.Order), len(names))
 		}
+		seen := make([]bool, len(names))
 		for _, v := range e.opt.Order {
-			if !seen[v] {
+			k := slices.Index(names, v)
+			if k < 0 || seen[k] {
 				return nil, fmt.Errorf("ltj: explicit order mentions unknown variable %q", v)
 			}
-			delete(seen, v)
+			seen[k] = true
 		}
 		return e.opt.Order, nil
 	}
 	if e.opt.DisableOrderHeuristic {
-		return vars, nil
+		return names, nil
 	}
 
-	// Classify variables: lonely = exactly one pattern, exactly one position.
-	patsOf := map[string][]int{}
+	// Classify variables: lonely = one occurrence in the whole query
+	// (exactly one pattern, exactly one position). cmin[k] is the smallest
+	// current match count of a pattern mentioning variable k.
+	occ, cmin := make([]int, len(names)), make([]int, len(names))
+	for k := range cmin {
+		cmin[k] = math.MaxInt
+	}
 	for i := range e.pats {
-		for _, v := range e.pats[i].tp.Vars() {
-			patsOf[v] = append(patsOf[v], i)
+		c := e.pats[i].it.Count()
+		for _, k := range at[i] {
+			if k >= 0 {
+				occ[k]++
+				cmin[k] = min(cmin[k], c)
+			}
 		}
 	}
-	lonely := map[string]bool{}
-	for _, v := range vars {
-		ps := patsOf[v]
-		if len(ps) == 1 && len(e.pats[ps[0]].tp.Positions(v)) == 1 {
-			lonely[v] = true
-		}
-	}
+	mentions := func(i, k int) bool { return at[i][0] == k || at[i][1] == k || at[i][2] == k }
 
 	// Order the join variables by increasing c_min with a connectivity
 	// preference.
-	var joinVars []string
-	for _, v := range vars {
-		if !lonely[v] {
-			joinVars = append(joinVars, v)
-		}
-	}
-	cmin := map[string]int{}
-	for _, v := range joinVars {
-		best := math.MaxInt
-		for _, pi := range patsOf[v] {
-			if c := e.pats[pi].it.Count(); c < best {
-				best = c
+	order := make([]string, 0, len(names))
+	placed, chosenPats := make([]bool, len(names)), make([]bool, len(e.pats))
+	for {
+		best, bestCost, bestConn := -1, math.MaxInt, false
+		for k := range names {
+			if occ[k] == 1 || placed[k] {
+				continue
 			}
-		}
-		cmin[v] = best
-	}
-	inPattern := map[string]map[int]bool{}
-	for _, v := range joinVars {
-		inPattern[v] = map[int]bool{}
-		for _, pi := range patsOf[v] {
-			inPattern[v][pi] = true
-		}
-	}
-
-	var order []string
-	chosenPats := map[int]bool{}
-	remaining := append([]string(nil), joinVars...)
-	for len(remaining) > 0 {
-		bestIdx, bestCost, bestConn := -1, math.MaxInt, false
-		for i, v := range remaining {
-			conn := false
-			for pi := range inPattern[v] {
-				if chosenPats[pi] {
-					conn = true
-					break
-				}
-			}
-			if len(order) == 0 {
-				conn = true // no connectivity constraint for the first pick
+			conn := len(order) == 0 // no connectivity constraint for the first pick
+			for i := range e.pats {
+				conn = conn || chosenPats[i] && mentions(i, k)
 			}
 			// Prefer connected variables; among equals, smaller c_min wins;
 			// ties break by query order (stable since we scan in order).
-			if (conn && !bestConn) || (conn == bestConn && cmin[v] < bestCost) {
-				bestIdx, bestCost, bestConn = i, cmin[v], conn
+			if (conn && !bestConn) || (conn == bestConn && cmin[k] < bestCost) {
+				best, bestCost, bestConn = k, cmin[k], conn
 			}
 		}
-		v := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		order = append(order, v)
-		for pi := range inPattern[v] {
-			chosenPats[pi] = true
+		if best < 0 {
+			break
+		}
+		placed[best] = true
+		order = append(order, names[best])
+		for i := range e.pats {
+			chosenPats[i] = chosenPats[i] || mentions(i, best)
 		}
 	}
 
 	// Append lonely variables, per pattern, along the backward chain from
 	// the pattern's bound run so that Enumerate applies at each step.
 	for i := range e.pats {
-		order = append(order, lonelyChain(e.pats[i].tp, lonely)...)
+		var lonely [3]bool
+		for pos, k := range at[i] {
+			lonely[pos] = k >= 0 && occ[k] == 1
+		}
+		chain, n := backwardChain(lonely)
+		for _, pos := range chain[:n] {
+			order = append(order, names[at[i][pos]])
+		}
 	}
 	return order, nil
 }
 
-// lonelyChain returns the pattern's lonely variables ordered so that each
-// one is backward-adjacent to the bound run when its turn comes. The run
-// at that time consists of the pattern's constants and join-variable
-// positions; the chain proceeds from the run start cyclically backward.
-// With an empty run the chain starts at the subject (bound by a leap) and
-// proceeds backward (o, then p).
-func lonelyChain(tp graph.TriplePattern, lonely map[string]bool) []string {
-	isLonely := func(pos graph.Position) bool {
-		t := tp.Term(pos)
-		return t.IsVar && lonely[t.Name]
-	}
-	bound := map[graph.Position]bool{}
+// backwardChain orders a pattern's lonely positions so that each one is
+// backward-adjacent to the bound run when its turn comes. The run at that
+// time consists of the pattern's constants and join-variable positions;
+// the chain proceeds from the run start cyclically backward. With an empty
+// run the chain starts at the subject (bound by a leap) and proceeds
+// backward (o, then p).
+func backwardChain(lonely [3]bool) (chain [3]graph.Position, n int) {
 	nBound := 0
-	for _, pos := range []graph.Position{graph.PosS, graph.PosP, graph.PosO} {
-		if !isLonely(pos) {
-			bound[pos] = true
+	for _, l := range lonely {
+		if !l {
 			nBound++
 		}
 	}
-	var chain []graph.Position
 	switch nBound {
 	case 3:
-		return nil
+		return chain, 0
 	case 0:
 		// Bind the subject first, then backward: o, p.
-		chain = []graph.Position{graph.PosS, graph.PosO, graph.PosP}
-	default:
-		// Run start: the bound position whose predecessor is unbound.
-		var start graph.Position
-		for _, pos := range []graph.Position{graph.PosS, graph.PosP, graph.PosO} {
-			if bound[pos] && !bound[pos.Prev()] {
-				start = pos
-				break
-			}
-		}
-		for pos := start.Prev(); !bound[pos]; pos = pos.Prev() {
-			chain = append(chain, pos)
+		return [3]graph.Position{graph.PosS, graph.PosO, graph.PosP}, 3
+	}
+	// Run start: the bound position whose predecessor is unbound.
+	var start graph.Position
+	for pos := graph.PosS; pos <= graph.PosO; pos++ {
+		if !lonely[pos] && lonely[pos.Prev()] {
+			start = pos
+			break
 		}
 	}
-	var out []string
-	for _, pos := range chain {
-		out = append(out, tp.Term(pos).Name)
+	for pos := start.Prev(); lonely[pos]; pos = pos.Prev() {
+		chain[n] = pos
+		n++
 	}
-	return out
+	return chain, n
 }

@@ -41,7 +41,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/wavelet"
 )
 
 // DefaultParallelism returns the worker count the CLIs use for
@@ -61,7 +60,8 @@ const solBuffer = 256
 
 // searchParallel distributes search(0) over opt.Parallelism workers. It
 // is called on a fully set-up evaluator (iterators created, order chosen,
-// varIters built) in place of e.search(0).
+// depths planned) in place of e.search(0). The producer and every worker
+// plan their own depths, so no lane buffer or replay record is shared.
 func (e *evaluator) searchParallel(idx Index) error {
 	//ringlint:detach -- default root when the caller set no opt.Context; callers with one are honoured below
 	parent := context.Background()
@@ -80,18 +80,17 @@ func (e *evaluator) searchParallel(idx Index) error {
 	for w := range workers {
 		we := &evaluator{
 			opt:      e.opt,
+			pats:     make([]patternEntry, len(e.pats)),
 			order:    e.order,
 			vals:     make([]graph.ID, len(e.order)),
-			runBufs:  make([][]wavelet.MatrixRange, len(e.order)),
 			deadline: e.deadline,
 			ctx:      ctx,
 			stats:    &EvalStats{},
 		}
-		for _, p := range e.pats {
-			we.pats = append(we.pats, patternEntry{tp: p.tp, it: idx.NewPatternIter(p.tp)})
+		for i, p := range e.pats {
+			we.pats[i] = patternEntry{tp: p.tp, it: idx.NewPatternIter(p.tp)}
 		}
-		var err error
-		if we.varIters, err = buildVarIters(e.order, we.pats); err != nil {
+		if err := we.plan(); err != nil {
 			return err // unreachable: the sequential setup already validated
 		}
 		workers[w] = we
@@ -171,9 +170,10 @@ func (e *evaluator) searchParallel(idx Index) error {
 }
 
 // produce runs search(0) on an evaluator cut down to the first variable —
-// the evaluation's own iterators, range buffer and stats — so every value
-// search accepts reaches descend as the last variable, whose emit ships
-// it to the workers in contiguous chunks of geometrically growing size.
+// the evaluation's own iterators and stats, planned for that one depth —
+// so every value search accepts reaches descend as the last variable,
+// which binds nothing and whose emit ships the value to the workers in
+// contiguous chunks of geometrically growing size.
 func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error {
 	batch := make([]graph.ID, 0, 1)
 	flush := func() bool {
@@ -190,10 +190,9 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 	}
 	first := &evaluator{
 		opt:      e.opt,
+		pats:     e.pats,
 		order:    e.order[:1],
-		varIters: e.varIters[:1],
 		vals:     make([]graph.ID, 1),
-		runBufs:  e.runBufs[:1],
 		deadline: e.deadline,
 		ctx:      ctx,
 		stats:    e.stats,
@@ -201,6 +200,9 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 			batch = append(batch, vals[0])
 			return len(batch) < cap(batch) || flush()
 		},
+	}
+	if err := first.plan(); err != nil {
+		return err // unreachable: the sequential setup already validated
 	}
 	if err := first.search(0); err != nil {
 		return err
@@ -215,13 +217,12 @@ func (e *evaluator) produce(ctx context.Context, tasks chan<- []graph.ID) error 
 // variable takes search(0)'s per-value step — descend — on the worker's
 // own iterators.
 func (we *evaluator) drain(tasks <-chan []graph.ID) error {
-	ivs := we.varIters[0]
 	for batch := range tasks {
 		for _, v := range batch {
 			if err := we.checkDeadline(); err != nil {
 				return err
 			}
-			if err := we.descend(0, ivs, v); err != nil {
+			if err := we.descend(0, v); err != nil {
 				return err
 			}
 			if we.stopped {

@@ -29,7 +29,8 @@ type PatternState struct {
 	bound    int      // number of bound positions, 0..3
 	firstVal graph.ID // value bound at the run's first position (zone start)
 
-	frames []frame
+	frames   []frame  // the Bind stack; backed by frameBuf until it outgrows three
+	frameBuf [3]frame // one frame per position: the depth every engine bind stack stays within
 }
 
 type frame struct {
@@ -46,13 +47,16 @@ type frame struct {
 // constants extend backward twice.
 func (r *Ring) NewPatternState(tp graph.TriplePattern) *PatternState {
 	ps := &PatternState{r: r, lo: 0, hi: r.n}
-	consts := []graph.Position{}
-	for _, pos := range []graph.Position{graph.PosS, graph.PosP, graph.PosO} {
+	ps.frames = ps.frameBuf[:0]
+	var consts [3]graph.Position
+	n := 0
+	for pos := graph.PosS; pos <= graph.PosO; pos++ {
 		if !tp.Term(pos).IsVar {
-			consts = append(consts, pos)
+			consts[n] = pos
+			n++
 		}
 	}
-	switch len(consts) {
+	switch n {
 	case 0:
 		// Full zone; the zone is fixed by the first variable bound.
 	case 1:

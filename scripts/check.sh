@@ -46,8 +46,8 @@ GOOS=windows GOARCH=amd64 go build ./...
 echo "== go test (shuffled)"
 go test -shuffle=on ./...
 
-echo "== go test -tags ringdebug (assertion lane)"
-go test -tags ringdebug ./internal/...
+echo "== go test -tags ringdebug (assertion lane: the root package and internal/...)"
+go test -tags ringdebug . ./internal/...
 
 echo "== go test -race (full module)"
 go test -race ./...
