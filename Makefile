@@ -21,13 +21,8 @@
 #               replayed lonely enumeration re-run and compared)
 #   make race   race-detector lane over the full module (~4m on a
 #               single-CPU container; rerun alone when iterating)
-#   make bench  the parallel-LTJ sweep benchmark, one iteration
 #   make bench-smoke      compile-and-run every benchmark once (catches
 #                         bit-rotted benchmarks without paying full runs)
-#   make bench-substrate  the rank/select substrate microbenchmarks
-#                         (bits, bitvector, wavelet, ring Leap/Bind);
-#                         benchstat-friendly: set BENCH_COUNT>=10 to compare;
-#                         records nothing (ringbench's per-layer rows do)
 #   make serve-smoke      end-to-end ringserve smoke: build, index,
 #                         ringstats layout, serve the mapped file, a join
 #                         checked against awk, mapped-load metrics,
@@ -50,9 +45,8 @@
 #               tree clean
 
 GO ?= go
-BENCH_COUNT ?= 1
 
-.PHONY: check fmt vet lint lint-only build cross test test-debug race race-batch bench bench-smoke bench-check bench-substrate serve-smoke persist-smoke repl-smoke
+.PHONY: check fmt vet lint lint-only build cross test test-debug race race-batch bench-smoke bench-check serve-smoke persist-smoke repl-smoke
 
 check: fmt vet lint build cross test test-debug race race-batch bench-smoke bench-check serve-smoke persist-smoke repl-smoke
 
@@ -96,15 +90,8 @@ race:
 race-batch:
 	$(GO) test -race -tags ringdebug ./internal/wavelet ./internal/ring ./internal/ltj
 
-bench:
-	$(GO) test . -run XXX -bench 'BenchmarkParallelLTJ' -benchtime 1x
-
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-bench-substrate:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) \
-		./internal/bits ./internal/bitvector ./internal/wavelet ./internal/ring
 
 bench-check:
 	cd cmd/ringbench && $(GO) vet ./... && $(GO) test ./...

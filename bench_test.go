@@ -367,23 +367,30 @@ func BenchmarkAblationLonely(b *testing.B) {
 }
 
 // BenchmarkAblationOrder compares the cardinality-based variable order
-// (Section 4.3) against the query's first-use order.
+// (Section 4.3) against the query's first-use order, forced through
+// Options.Order.
 func BenchmarkAblationOrder(b *testing.B) {
 	e := loadEnv()
 	queries := e.allWGPB()
+	firstUse := make([][]string, len(queries))
+	for j, q := range queries {
+		firstUse[j] = q.Vars()
+	}
 	r := ring.New(e.g, ring.Options{})
 	idx := ltj.IndexFunc(func(tp graph.TriplePattern) ltj.PatternIter {
 		return r.NewPatternState(tp)
 	})
 	for _, cfg := range []struct {
-		name    string
-		disable bool
+		name     string
+		firstUse bool
 	}{{"cardinality", false}, {"first-use", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			opt := wgpbOptions()
-			opt.DisableOrderHeuristic = cfg.disable
 			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
+				for j, q := range queries {
+					if cfg.firstUse {
+						opt.Order = firstUse[j]
+					}
 					if _, err := ltj.Evaluate(idx, q, opt); err != nil {
 						b.Fatal(err)
 					}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -92,14 +93,15 @@ func runQuery(store *wcoring.Store, raw string, opt wcoring.QueryOptions) {
 		return
 	}
 	start := time.Now()
-	sols, err := store.Query(patterns, opt)
+	sols, err := store.Select(patterns, wcoring.SelectOptions{QueryOptions: opt})
 	elapsed := time.Since(start)
-	if err != nil && err != wcoring.ErrTimeout {
+	timedOut := errors.Is(err, wcoring.ErrTimeout)
+	if err != nil && !timedOut {
 		log.Printf("query failed: %v", err)
 		return
 	}
 	status := ""
-	if err == wcoring.ErrTimeout {
+	if timedOut {
 		status = " (timed out)"
 	}
 	fmt.Printf("%d solutions in %v%s\n", len(sols), elapsed.Round(time.Microsecond), status)

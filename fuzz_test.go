@@ -97,7 +97,7 @@ func sameStoreLoads(t *testing.T, data []byte, ways ...string) {
 		s, err := load[way]()
 		if got.loaded = err == nil; got.loaded {
 			var qerr error
-			got.sols, qerr = s.Query([]PatternString{{S: "?x", P: "?p", O: "?y"}}, QueryOptions{Limit: 10})
+			got.sols, qerr = s.Select([]PatternString{{S: "?x", P: "?p", O: "?y"}}, SelectOptions{QueryOptions: QueryOptions{Limit: 10}})
 			got.queryOK = qerr == nil
 		}
 		if i == 0 {

@@ -66,14 +66,6 @@ func Select64(w uint64, k int) int {
 	return byteOff + int(selInByte[(k-prev)<<8|int(w>>uint(byteOff)&0xff)])
 }
 
-// Select64Zero returns the position of the (k+1)-th zero bit of w, or 64 if
-// w has fewer than k+1 zeros.
-//
-//ringlint:hotpath
-func Select64Zero(w uint64, k int) int {
-	return Select64(^w, k)
-}
-
 // ReadBits reads width bits (1..64) starting at absolute bit offset pos from
 // the word slice data. Bits beyond the end of data are read as zero.
 //

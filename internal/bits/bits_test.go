@@ -72,18 +72,6 @@ func TestSelect64Edges(t *testing.T) {
 	}
 }
 
-func TestSelect64Zero(t *testing.T) {
-	if got := Select64Zero(0, 5); got != 5 {
-		t.Errorf("Select64Zero(0, 5) = %d, want 5", got)
-	}
-	if got := Select64Zero(^uint64(0), 0); got != 64 {
-		t.Errorf("Select64Zero(all-ones, 0) = %d, want 64", got)
-	}
-	if got := Select64Zero(0b1011, 0); got != 2 {
-		t.Errorf("Select64Zero(0b1011, 0) = %d, want 2", got)
-	}
-}
-
 func TestReadWriteBitsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const nbits = 4096

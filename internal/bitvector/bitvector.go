@@ -59,10 +59,11 @@ const superWords = superBits / 64
 // giving constant-time rank with one popcount. The o(n) directory costs
 // ~37.5% over the raw bits — the same order as the 57% rank/select
 // overhead the paper reports for its plain configuration.
-// The zero value is an empty vector; use NewPlain or a Builder to create one.
+// The zero value is an empty vector; use a Builder or PlainFromWords to
+// create one.
 type Plain struct {
 	// words may alias a read-only memory-mapped file when the vector was
-	// loaded through ViewPlain; it must never be written to after
+	// decoded by DecodePlain; it must never be written to after
 	// construction.
 	//ringlint:viewed
 	words []uint64
@@ -83,18 +84,6 @@ type Plain struct {
 	selOne []uint32
 	//ringlint:derived
 	selZero []uint32
-}
-
-// NewPlain builds a Plain bitvector of length n whose set bits are given by
-// get. It runs in O(n/64 + ones) time.
-func NewPlain(n int, get func(i int) bool) *Plain {
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		if get(i) {
-			b.Set(i)
-		}
-	}
-	return b.BuildPlain()
 }
 
 // PlainFromWords builds a Plain bitvector over the first n bits of words.
@@ -338,19 +327,11 @@ func (p *Plain) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ViewPlain deserializes a Plain vector written by WriteTo from an
-// in-memory buffer (a memory mapping, or a stream read whole with
-// bits.ReadAligned). The word payload aliases b when the host is
-// little-endian and b is 8-byte aligned (copied otherwise); the
-// rank/select directories are rebuilt on the heap either way. It returns
-// the number of bytes consumed so callers can continue decoding a
-// composite stream.
-func ViewPlain(b []byte) (*Plain, int, error) {
-	return bits.View(b, "bitvector", DecodePlain)
-}
-
-// DecodePlain deserializes a Plain vector at src's offset. The payload
-// obtained through src.Words may alias read-only mapped memory, so —
+// DecodePlain deserializes a Plain vector written by WriteTo at src's
+// offset (bits.View decodes one from a buffer). The word payload aliases
+// the source when the host is little-endian and the source is 8-byte
+// aligned (copied otherwise); the rank/select directories are rebuilt on
+// the heap either way. The payload may alias read-only mapped memory, so —
 // unlike PlainFromWords, which clears stray tail bits in place — the
 // decoder rejects a nonzero tail instead of repairing it. WriteTo always
 // emits clean tails, so this only fires on corrupt or hand-forged input.

@@ -71,8 +71,20 @@ func randomBits(rng *rand.Rand, n int, density float64) []bool {
 	return bs
 }
 
+// newPlain builds a Plain vector of length n whose set bits are given by
+// get.
+func newPlain(n int, get func(i int) bool) *Plain {
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		if get(i) {
+			b.Set(i)
+		}
+	}
+	return b.BuildPlain()
+}
+
 func buildPlain(bs []bool) *Plain {
-	return NewPlain(len(bs), func(i int) bool { return bs[i] })
+	return newPlain(len(bs), func(i int) bool { return bs[i] })
 }
 
 func buildRRR(bs []bool, blockSize int) *RRR {
@@ -249,7 +261,7 @@ func TestPlainSerializationRoundTrip(t *testing.T) {
 		if _, err := v.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		got, _, err := ViewPlain(buf.Bytes())
+		got, _, err := viewPlain(buf.Bytes())
 		if err != nil {
 			t.Fatalf("ViewPlain: %v", err)
 		}
@@ -266,7 +278,7 @@ func TestRRRSerializationRoundTrip(t *testing.T) {
 		if _, err := v.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		got, _, err := ViewRRR(buf.Bytes())
+		got, _, err := viewRRR(buf.Bytes())
 		if err != nil {
 			t.Fatalf("ViewRRR: %v", err)
 		}
@@ -284,17 +296,17 @@ func TestCorruptSerializationErrors(t *testing.T) {
 	data := buf.Bytes()
 
 	// Truncated stream.
-	if _, _, err := ViewPlain(data[:len(data)/2]); err == nil {
+	if _, _, err := viewPlain(data[:len(data)/2]); err == nil {
 		t.Error("ViewPlain accepted a truncated stream")
 	}
 	// Bad magic.
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xFF
-	if _, _, err := ViewPlain(bad); err == nil {
+	if _, _, err := viewPlain(bad); err == nil {
 		t.Error("ViewPlain accepted a corrupted magic")
 	}
 	// Reading Plain data as RRR must fail, not panic.
-	if _, _, err := ViewRRR(data); err == nil {
+	if _, _, err := viewRRR(data); err == nil {
 		t.Error("ViewRRR accepted Plain data")
 	}
 
@@ -303,13 +315,13 @@ func TestCorruptSerializationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rdata := buf.Bytes()
-	if _, _, err := ViewRRR(rdata[:20]); err == nil {
+	if _, _, err := viewRRR(rdata[:20]); err == nil {
 		t.Error("ViewRRR accepted a truncated stream")
 	}
 	// Corrupt the block-size field to an invalid value.
 	badR := append([]byte(nil), rdata...)
 	badR[16] = 0xFF
-	if _, _, err := ViewRRR(badR); err == nil {
+	if _, _, err := viewRRR(badR); err == nil {
 		t.Error("ViewRRR accepted an invalid block size")
 	}
 }

@@ -20,7 +20,7 @@ func TestRingdebugCatchesSkippedSelectRebuild(t *testing.T) {
 	if _, err := v.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := ViewRRR(buf.Bytes())
+	r, _, err := viewRRR(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRingdebugSelectAssertionsPass(t *testing.T) {
 		name string
 		v    Vector
 	}{
-		{"plain", NewPlain(50000, func(i int) bool { return i%3 == 0 })},
+		{"plain", newPlain(50000, func(i int) bool { return i%3 == 0 })},
 		{"rrr", NewRRR(50000, 16, func(i int) bool { return i%3 == 0 })},
 	} {
 		ones := tc.v.Ones()

@@ -29,7 +29,7 @@ type RRR struct {
 
 	classWidth uint
 	// classes and offsets may alias a read-only memory-mapped file when
-	// the vector was loaded through ViewRRR; never write to them after
+	// the vector was decoded by DecodeRRR; never write to them after
 	// construction.
 	//ringlint:viewed
 	classes []uint64 // packed classWidth-bit class per block
@@ -523,16 +523,11 @@ func narrow(xs []uint64) ([]uint32, error) {
 	return out, nil
 }
 
-// ViewRRR deserializes an RRR vector written by WriteTo from an
-// in-memory buffer. The classes and offsets payloads alias b when
+// DecodeRRR deserializes an RRR vector written by WriteTo at src's
+// offset. The classes and offsets payloads alias the source when
 // possible; the uint32 rank/offset directories and select samples are
 // always rebuilt or copied onto the heap (they are o(n) and need a width
-// change anyway). Returns the number of bytes consumed.
-func ViewRRR(b []byte) (*RRR, int, error) {
-	return bits.View(b, "bitvector", DecodeRRR)
-}
-
-// DecodeRRR deserializes an RRR vector at src's offset.
+// change anyway).
 func DecodeRRR(src *bits.ByteSource) (*RRR, error) {
 	hdr, err := src.U64s(9)
 	if err != nil {

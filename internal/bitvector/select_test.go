@@ -124,7 +124,7 @@ func TestSelectSamplesRebuiltOnLoad(t *testing.T) {
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	gotP, _, err := ViewPlain(buf.Bytes())
+	gotP, _, err := viewPlain(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSelectSamplesRebuiltOnLoad(t *testing.T) {
 	if _, err := r.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	gotR, _, err := ViewRRR(buf.Bytes())
+	gotR, _, err := viewRRR(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestReadRRRRejectsInconsistentOnes(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[32] ^= 0x01 // low byte of the ones field (header word 4)
-	if _, _, err := ViewRRR(data); err == nil {
+	if _, _, err := viewRRR(data); err == nil {
 		t.Error("ViewRRR accepted a stream whose ones count disagrees with the rank directory")
 	}
 }

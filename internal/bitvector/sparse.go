@@ -19,7 +19,7 @@ type Sparse struct {
 	n int // number of set bits
 	m int // universe (vector length)
 	// low may alias a read-only memory-mapped file when the vector was
-	// loaded through ViewSparse; never write to it after construction.
+	// decoded by DecodeSparse; never write to it after construction.
 	//ringlint:viewed
 	low  []uint64
 	lw   uint   // low bits per element
@@ -194,15 +194,9 @@ func (s *Sparse) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ViewSparse deserializes a Sparse vector written by WriteTo from an
-// in-memory buffer, aliasing the low-bits payload (and the nested Plain
-// high vector's words) when possible. Returns the number of bytes
-// consumed.
-func ViewSparse(b []byte) (*Sparse, int, error) {
-	return bits.View(b, "bitvector", DecodeSparse)
-}
-
-// DecodeSparse deserializes a Sparse vector at src's offset.
+// DecodeSparse deserializes a Sparse vector written by WriteTo at src's
+// offset, aliasing the low-bits payload (and the nested Plain high
+// vector's words) when possible.
 func DecodeSparse(src *bits.ByteSource) (*Sparse, error) {
 	hdr, err := src.U64s(5)
 	if err != nil {

@@ -115,7 +115,7 @@ func TestSparseSerializationRoundTrip(t *testing.T) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ViewSparse(buf.Bytes())
+	got, _, err := viewSparse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestSparseSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, _, err := ViewSparse(data[:len(data)/2]); err == nil {
+	if _, _, err := viewSparse(data[:len(data)/2]); err == nil {
 		t.Error("accepted truncated Sparse")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 1
-	if _, _, err := ViewSparse(bad); err == nil {
+	if _, _, err := viewSparse(bad); err == nil {
 		t.Error("accepted bad magic")
 	}
 }

@@ -11,6 +11,14 @@ import (
 	"repro/internal/bits"
 )
 
+// viewPlain, viewRRR and viewSparse decode one vector from the start of
+// b, reporting the bytes consumed, as the index loaders do.
+func viewPlain(b []byte) (*Plain, int, error) { return bits.View(b, "bitvector", DecodePlain) }
+
+func viewRRR(b []byte) (*RRR, int, error) { return bits.View(b, "bitvector", DecodeRRR) }
+
+func viewSparse(b []byte) (*Sparse, int, error) { return bits.View(b, "bitvector", DecodeSparse) }
+
 // writeBytes serializes any of the bitvector types through the shared
 // io.Writer path.
 func writeBytes(t *testing.T, v interface {
@@ -40,12 +48,12 @@ func TestViewPlainMatchesRead(t *testing.T) {
 	for _, n := range []int{0, 1, 64, 1000} {
 		bs := randomBits(rng, n, 0.4)
 		data := writeBytes(t, buildPlain(bs))
-		v, consumed, err := ViewPlain(alignedCopy(data, 0))
+		v, consumed, err := viewPlain(alignedCopy(data, 0))
 		if err != nil {
-			t.Fatalf("ViewPlain(n=%d): %v", n, err)
+			t.Fatalf("viewPlain(n=%d): %v", n, err)
 		}
 		if consumed != len(data) {
-			t.Fatalf("ViewPlain(n=%d) consumed %d of %d bytes", n, consumed, len(data))
+			t.Fatalf("viewPlain(n=%d) consumed %d of %d bytes", n, consumed, len(data))
 		}
 		checkAgainstNaive(t, v, bs, "view-plain")
 	}
@@ -56,7 +64,7 @@ func TestViewPlainMatchesRead(t *testing.T) {
 func TestViewPlainAliases(t *testing.T) {
 	bs := randomBits(rand.New(rand.NewSource(42)), 512, 0.5)
 	data := alignedCopy(writeBytes(t, buildPlain(bs)), 0)
-	v, _, err := ViewPlain(data)
+	v, _, err := viewPlain(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestReadPlainAliasesReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := ViewPlain(b)
+	v, _, err := viewPlain(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestViewPlainMisalignedFallback(t *testing.T) {
 	bs := randomBits(rand.New(rand.NewSource(43)), 300, 0.3)
 	data := writeBytes(t, buildPlain(bs))
 	for skew := 1; skew < 8; skew++ {
-		v, consumed, err := ViewPlain(alignedCopy(data, skew))
+		v, consumed, err := viewPlain(alignedCopy(data, skew))
 		if err != nil {
 			t.Fatalf("skew %d: %v", skew, err)
 		}
@@ -109,12 +117,12 @@ func TestViewRRRMatchesRead(t *testing.T) {
 	for _, b := range []int{15, 16, 64} {
 		bs := randomBits(rng, 3000, 0.2)
 		data := writeBytes(t, buildRRR(bs, b))
-		v, consumed, err := ViewRRR(alignedCopy(data, 0))
+		v, consumed, err := viewRRR(alignedCopy(data, 0))
 		if err != nil {
-			t.Fatalf("ViewRRR(b=%d): %v", b, err)
+			t.Fatalf("viewRRR(b=%d): %v", b, err)
 		}
 		if consumed != len(data) {
-			t.Fatalf("ViewRRR(b=%d) consumed %d of %d bytes", b, consumed, len(data))
+			t.Fatalf("viewRRR(b=%d) consumed %d of %d bytes", b, consumed, len(data))
 		}
 		checkAgainstNaive(t, v, bs, "view-rrr")
 	}
@@ -124,7 +132,7 @@ func TestViewSparseMatchesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	ones, bs := randomSparse(rng, 4000, 0.05)
 	data := writeBytes(t, NewSparse(4000, ones))
-	v, consumed, err := ViewSparse(alignedCopy(data, 0))
+	v, consumed, err := viewSparse(alignedCopy(data, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +157,9 @@ func TestViewTruncationsError(t *testing.T) {
 		data []byte
 		view func([]byte) (int, error)
 	}{
-		{"plain", writeBytes(t, buildPlain(bs)), func(b []byte) (int, error) { _, n, err := ViewPlain(b); return n, err }},
-		{"rrr", writeBytes(t, buildRRR(bs, 16)), func(b []byte) (int, error) { _, n, err := ViewRRR(b); return n, err }},
-		{"sparse", writeBytes(t, NewSparse(700, ones)), func(b []byte) (int, error) { _, n, err := ViewSparse(b); return n, err }},
+		{"plain", writeBytes(t, buildPlain(bs)), func(b []byte) (int, error) { _, n, err := viewPlain(b); return n, err }},
+		{"rrr", writeBytes(t, buildRRR(bs, 16)), func(b []byte) (int, error) { _, n, err := viewRRR(b); return n, err }},
+		{"sparse", writeBytes(t, NewSparse(700, ones)), func(b []byte) (int, error) { _, n, err := viewSparse(b); return n, err }},
 	}
 	for _, tc := range cases {
 		for i := 0; i < len(tc.data); i++ {
@@ -191,21 +199,21 @@ func TestViewBitFlips(t *testing.T) {
 	}
 	cases := []probe{
 		{"plain", writeBytes(t, buildPlain(bs)), func(b []byte) error {
-			v, _, err := ViewPlain(b)
+			v, _, err := viewPlain(b)
 			if err == nil {
 				exercise(v)
 			}
 			return err
 		}},
 		{"rrr", writeBytes(t, buildRRR(bs, 16)), func(b []byte) error {
-			v, _, err := ViewRRR(b)
+			v, _, err := viewRRR(b)
 			if err == nil {
 				exercise(v)
 			}
 			return err
 		}},
 		{"sparse", writeBytes(t, NewSparse(500, ones)), func(b []byte) error {
-			v, _, err := ViewSparse(b)
+			v, _, err := viewSparse(b)
 			if err == nil {
 				exercise(v)
 			}

@@ -79,15 +79,6 @@ func (v *Vector) Get(i int) uint64 {
 // SizeBytes returns the in-memory footprint.
 func (v *Vector) SizeBytes() int { return 8*len(v.data) + 24 }
 
-// All returns a freshly allocated unpacked copy of the values.
-func (v *Vector) All() []uint64 {
-	out := make([]uint64, v.n)
-	for i := range out {
-		out[i] = v.Get(i)
-	}
-	return out
-}
-
 // SearchPrefix performs a binary search over a vector whose values are
 // non-decreasing, returning the smallest index i with Get(i) >= x, or
 // Len() if none.

@@ -41,16 +41,6 @@ func TestNewPicksMinimalWidth(t *testing.T) {
 	}
 }
 
-func TestAll(t *testing.T) {
-	vals := []uint64{5, 0, 17, 3, 3}
-	got := New(vals).All()
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("All()[%d] = %d, want %d", i, got[i], vals[i])
-		}
-	}
-}
-
 func TestSearchPrefix(t *testing.T) {
 	v := New([]uint64{0, 0, 3, 3, 7, 10, 10, 10, 15})
 	cases := []struct {

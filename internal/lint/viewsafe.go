@@ -7,7 +7,7 @@ import (
 
 // viewsafe enforces the zero-copy view contract: word slices handed out
 // by (*bits.ByteSource).Words may alias a read-only file mapping (every
-// index load is ViewPlain and friends over a mapping or a buffer read
+// index load is DecodePlain and friends over a mapping or a buffer read
 // whole), so writing through them is at best a silent corruption of
 // shared pages and at worst a SIGSEGV. The analyzer flags, for
 //

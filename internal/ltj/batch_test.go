@@ -13,6 +13,15 @@ import (
 	"repro/internal/testutil"
 )
 
+// binding copies one StreamSlots solution into a map.
+func binding(order []string, vals []graph.ID) graph.Binding {
+	b := make(graph.Binding, len(order))
+	for j, name := range order {
+		b[name] = vals[j]
+	}
+	return b
+}
+
 // sameOrderedSolutions asserts byte-identical solution streams: same
 // length, same bindings, same order. The sequential batched lane emits
 // candidates in exactly the scalar seek loop's order, so unlike the
@@ -167,8 +176,8 @@ func TestBatchedContextCancel(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var cut []graph.Binding
-	err = Stream(idx, q, Options{Context: ctx}, func(b graph.Binding) bool {
-		cut = append(cut, b.Clone())
+	err = StreamSlots(idx, q, Options{Context: ctx}, &EvalStats{}, func(order []string, vals []graph.ID) bool {
+		cut = append(cut, binding(order, vals))
 		if len(cut) == 10 {
 			cancel()
 		}
@@ -253,10 +262,10 @@ func TestBatchedTinyRanges(t *testing.T) {
 	}
 }
 
-// TestStreamBindingContract pins what Stream hands to emit (the engine
-// itself keeps slots, not a map): one Binding holding exactly the query's
-// variables at every call, and a single empty Binding for an all-ground
-// satisfied query.
+// TestStreamBindingContract pins what StreamSlots hands to emit: slots
+// holding exactly the query's variables at every call, in Evaluate's
+// order, and a single call with no slots for an all-ground satisfied
+// query (which Evaluate reports as one empty Binding).
 func TestStreamBindingContract(t *testing.T) {
 	g := batchedGraph(88)
 	idx := ringIndex(g, ring.Options{})
@@ -271,19 +280,20 @@ func TestStreamBindingContract(t *testing.T) {
 	for _, par := range []int{0, 2} {
 		n := 0
 		var got []graph.Binding
-		err = Stream(idx, q, Options{Parallelism: par}, func(b graph.Binding) bool {
-			if len(b) != len(q.Vars()) {
-				t.Fatalf("P=%d call %d: binding %v does not hold exactly the query's variables", par, n, b)
+		err = StreamSlots(idx, q, Options{Parallelism: par}, &EvalStats{}, func(order []string, vals []graph.ID) bool {
+			if len(order) != len(q.Vars()) || len(vals) != len(order) {
+				t.Fatalf("P=%d call %d: slots %v=%v do not hold exactly the query's variables", par, n, order, vals)
 			}
+			b := binding(order, vals)
 			for _, v := range q.Vars() {
 				if _, ok := b[v]; !ok {
-					t.Fatalf("P=%d call %d: binding %v lacks %q", par, n, b, v)
+					t.Fatalf("P=%d call %d: slots %v lack %q", par, n, order, v)
 				}
 			}
 			if !g.Contains(graph.Triple{S: b["x"], P: 0, O: b["y"]}) || !g.Contains(graph.Triple{S: b["x"], P: 1, O: b["z"]}) {
 				t.Fatalf("P=%d call %d: binding %v is not a solution", par, n, b)
 			}
-			got = append(got, b.Clone())
+			got = append(got, b)
 			n++
 			return n < 500
 		})
@@ -292,7 +302,7 @@ func TestStreamBindingContract(t *testing.T) {
 		}
 		if par == 0 {
 			if diff := sameOrderedSolutions(got, want.Solutions, q.Vars()); diff != "" {
-				t.Fatalf("Stream and Evaluate disagree: %s", diff)
+				t.Fatalf("StreamSlots and Evaluate disagree: %s", diff)
 			}
 		}
 	}
@@ -300,10 +310,10 @@ func TestStreamBindingContract(t *testing.T) {
 	tr := g.Triples()[0]
 	ground := graph.Pattern{graph.TP(graph.Const(tr.S), graph.Const(tr.P), graph.Const(tr.O))}
 	calls := 0
-	err = Stream(idx, ground, Options{}, func(b graph.Binding) bool {
+	err = StreamSlots(idx, ground, Options{}, &EvalStats{}, func(order []string, vals []graph.ID) bool {
 		calls++
-		if b == nil || len(b) != 0 {
-			t.Fatalf("ground query emitted %v, want an empty non-nil binding", b)
+		if len(order) != 0 || len(vals) != 0 {
+			t.Fatalf("ground query emitted slots %v=%v, want none", order, vals)
 		}
 		return true
 	})

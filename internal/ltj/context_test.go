@@ -30,7 +30,7 @@ func TestSequentialContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	err := Stream(idx, heavyQuery(), Options{Context: ctx}, func(graph.Binding) bool {
+	err := StreamSlots(idx, heavyQuery(), Options{Context: ctx}, &EvalStats{}, func([]string, []graph.ID) bool {
 		n++
 		if n == 10 {
 			cancel()
@@ -55,7 +55,7 @@ func TestSequentialContextDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	err := Stream(idx, heavyQuery(), Options{Context: ctx}, func(graph.Binding) bool { return true })
+	err := StreamSlots(idx, heavyQuery(), Options{Context: ctx}, &EvalStats{}, func([]string, []graph.ID) bool { return true })
 	if err == nil {
 		t.Skip("machine evaluated the query within a millisecond budget")
 	}
@@ -70,7 +70,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := graph.Pattern{graph.TP(graph.Var("x"), graph.Var("p"), graph.Var("y"))}
-	err := Stream(idx, q, Options{Context: ctx}, func(graph.Binding) bool { return true })
+	err := StreamSlots(idx, q, Options{Context: ctx}, &EvalStats{}, func([]string, []graph.ID) bool { return true })
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
@@ -83,7 +83,7 @@ func TestParallelContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	err := Stream(idx, heavyQuery(), Options{Context: ctx, Parallelism: 4}, func(graph.Binding) bool {
+	err := StreamSlots(idx, heavyQuery(), Options{Context: ctx, Parallelism: 4}, &EvalStats{}, func([]string, []graph.ID) bool {
 		n++
 		if n == 10 {
 			cancel()
@@ -129,7 +129,7 @@ func TestLimitStopBeatsCancelledContext(t *testing.T) {
 	idx := ringIndex(g, ring.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	q := graph.Pattern{graph.TP(graph.Var("x"), graph.Var("p"), graph.Var("y"))}
-	err := Stream(idx, q, Options{Context: ctx}, func(graph.Binding) bool {
+	err := StreamSlots(idx, q, Options{Context: ctx}, &EvalStats{}, func([]string, []graph.ID) bool {
 		cancel()
 		return false // stop after the first solution
 	})

@@ -70,9 +70,6 @@ type Options struct {
 	// DisableLonely turns off the lonely-variables optimisation
 	// (ablation; Section 4.2).
 	DisableLonely bool
-	// DisableOrderHeuristic uses the query's first-use variable order
-	// instead of the cardinality-based order (ablation; Section 4.3).
-	DisableOrderHeuristic bool
 	// DisableBatch turns off the batched radix-intersection lane
 	// (DESIGN.md §13): join variables are then always eliminated by the
 	// scalar leapfrog seek loop. The differential tests use this as the
@@ -84,8 +81,7 @@ type Options struct {
 	// split the first eliminated variable's candidate domain across
 	// workers (each running the same leapfrog search over its own
 	// iterators), so the solution *multiset* is unchanged but the order
-	// becomes nondeterministic. DefaultParallelism() is a reasonable
-	// value for saturating the local machine.
+	// becomes nondeterministic.
 	Parallelism int
 }
 
@@ -137,8 +133,7 @@ type EvalStats struct {
 }
 
 // Evaluate runs LTJ for the basic graph pattern q over the index and
-// collects solutions. See Stream and StreamSlots for the streaming
-// variants.
+// collects solutions. StreamSlots is the streaming form.
 func Evaluate(idx Index, q graph.Pattern, opt Options) (*Result, error) {
 	res := &Result{}
 	start := time.Now()
@@ -158,21 +153,7 @@ func Evaluate(idx Index, q graph.Pattern, opt Options) (*Result, error) {
 	return res, err
 }
 
-// Stream runs LTJ and calls emit for every solution, reusing one Binding
-// value (callers must clone to retain it). emit returning false stops the
-// evaluation. Stream returns ErrTimeout if the deadline was exceeded.
-func Stream(idx Index, q graph.Pattern, opt Options, emit func(graph.Binding) bool) error {
-	var st EvalStats
-	b := graph.Binding{}
-	return StreamSlots(idx, q, opt, &st, func(order []string, vals []graph.ID) bool {
-		for j, name := range order {
-			b[name] = vals[j]
-		}
-		return emit(b)
-	})
-}
-
-// StreamSlots is the engine behind Evaluate and Stream, and the form
+// StreamSlots is the engine behind Evaluate, and the form
 // callers that never need a map consume directly. A solution reaches emit
 // as the slots the search keeps: vals[j] is the value of order[j], the
 // variable elimination order. Both slices are reused across calls (order

@@ -75,14 +75,15 @@ func TestIntroductionExample(t *testing.T) {
 func TestRandomQueriesAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	configs := []struct {
-		name string
-		ropt ring.Options
-		eopt Options
+		name     string
+		ropt     ring.Options
+		eopt     Options
+		firstUse bool // force the query's first-use order through Options.Order
 	}{
-		{"ring", ring.Options{}, Options{}},
-		{"c-ring", ring.Options{Compress: true, RRRBlock: 16}, Options{}},
-		{"no-lonely", ring.Options{}, Options{DisableLonely: true}},
-		{"no-order-heuristic", ring.Options{}, Options{DisableOrderHeuristic: true}},
+		{"ring", ring.Options{}, Options{}, false},
+		{"c-ring", ring.Options{Compress: true, RRRBlock: 16}, Options{}, false},
+		{"no-lonely", ring.Options{}, Options{DisableLonely: true}, false},
+		{"no-order-heuristic", ring.Options{}, Options{}, true},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -93,7 +94,11 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 				nv := 1 + rng.Intn(4)
 				q := testutil.RandomPattern(rng, g, nt, nv, 0.4, false)
 				want := g.Evaluate(q, 0)
-				res, err := Evaluate(idx, q, cfg.eopt)
+				opt := cfg.eopt
+				if cfg.firstUse {
+					opt.Order = q.Vars()
+				}
+				res, err := Evaluate(idx, q, opt)
 				if err != nil {
 					t.Fatalf("trial %d query %v: %v", trial, q, err)
 				}
@@ -280,7 +285,7 @@ func TestStreamEarlyStop(t *testing.T) {
 	idx := ringIndex(g, ring.Options{})
 	q := graph.Pattern{graph.TP(graph.Var("x"), graph.Var("p"), graph.Var("y"))}
 	n := 0
-	err := Stream(idx, q, Options{}, func(b graph.Binding) bool {
+	err := StreamSlots(idx, q, Options{}, &EvalStats{}, func([]string, []graph.ID) bool {
 		n++
 		return n < 5
 	})

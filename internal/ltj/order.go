@@ -52,9 +52,6 @@ func (e *evaluator) chooseOrder(q graph.Pattern) ([]string, error) {
 		}
 		return e.opt.Order, nil
 	}
-	if e.opt.DisableOrderHeuristic {
-		return names, nil
-	}
 
 	// Classify variables: lonely = one occurrence in the whole query
 	// (exactly one pattern, exactly one position). cmin[k] is the smallest

@@ -85,17 +85,6 @@ func TestConnectivityPreference(t *testing.T) {
 	_ = firstComponentFirst
 }
 
-func TestDisableOrderHeuristicUsesFirstUse(t *testing.T) {
-	q := graph.Pattern{
-		graph.TP(graph.Var("z"), graph.Const(2), graph.Var("y")),
-		graph.TP(graph.Var("y"), graph.Const(1), graph.Var("x")),
-	}
-	order := orderFor(t, q, Options{DisableOrderHeuristic: true})
-	if !reflect.DeepEqual(order, []string{"z", "y", "x"}) {
-		t.Fatalf("order = %v, want first-use [z y x]", order)
-	}
-}
-
 func TestLonelyChainDirections(t *testing.T) {
 	lonely := map[string]bool{"y": true, "z": true, "w": true}
 	cases := []struct {

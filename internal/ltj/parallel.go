@@ -36,16 +36,11 @@ package ltj
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 
 	"repro/internal/graph"
 )
-
-// DefaultParallelism returns the worker count the CLIs use for
-// "-parallel auto": the scheduler's processor count.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // maxBatch caps the candidates per work chunk. Chunks start at 1 and
 // double up to this cap, so the head of a skewed domain (hub nodes with
@@ -136,7 +131,7 @@ func (e *evaluator) searchParallel(idx Index) error {
 	}()
 
 	// Merge: the calling goroutine alone runs the caller's emit, so
-	// Stream's contract (emit never called concurrently) holds. After
+	// StreamSlots's contract (emit never called concurrently) holds. After
 	// emit stops the evaluation we keep draining so no worker blocks on
 	// a full channel before observing the cancellation.
 	stopped := false

@@ -252,8 +252,8 @@ func TestParallelStreamOrderIndependence(t *testing.T) {
 	}
 	collect := func(p int) []string {
 		var got []graph.Binding
-		err := Stream(idx, q, Options{Parallelism: p}, func(b graph.Binding) bool {
-			got = append(got, b.Clone())
+		err := StreamSlots(idx, q, Options{Parallelism: p}, &EvalStats{}, func(order []string, vals []graph.ID) bool {
+			got = append(got, binding(order, vals))
 			return true
 		})
 		if err != nil {

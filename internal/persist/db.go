@@ -365,16 +365,9 @@ func (db *DB) InsertBatch(ts []dict.StringTriple, sync bool) (int, error) {
 	return applied, err
 }
 
-// DeleteBatch logs and removes triples; absent triples are no-ops. See
-// InsertBatch for the sync contract. Returns how many were removed.
-func (db *DB) DeleteBatch(ts []dict.StringTriple, sync bool) (int, error) {
-	applied, _, err := db.Mutate(OpDelete, ts, sync)
-	return applied, err
-}
-
-// Mutate is the seq-reporting mutation entry point: like
-// InsertBatch/DeleteBatch, but it also returns the batch's WAL sequence
-// number. A client holding the seq can demand read-your-writes on any
+// Mutate is the seq-reporting mutation entry point: like InsertBatch
+// (deletes remove triples, and absent ones are no-ops), but it also
+// returns the batch's WAL sequence number. A client holding the seq can demand read-your-writes on any
 // replica ("wait until you have applied ≥ seq"); the seq is assigned at
 // enqueue, so it is valid for 202-queued batches too.
 func (db *DB) Mutate(kind OpKind, ts []dict.StringTriple, sync bool) (int, uint64, error) {

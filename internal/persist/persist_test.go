@@ -83,12 +83,12 @@ func TestDeletePersists(t *testing.T) {
 	dir := t.TempDir()
 	db := openTest(t, dir, false)
 	db.InsertBatch([]dict.StringTriple{tr("a", "p", "b"), tr("b", "p", "c")}, true)
-	n, err := db.DeleteBatch([]dict.StringTriple{tr("a", "p", "b"), tr("x", "p", "y")}, true)
+	n, _, err := db.Mutate(OpDelete, []dict.StringTriple{tr("a", "p", "b"), tr("x", "p", "y")}, true)
 	if err != nil {
-		t.Fatalf("DeleteBatch: %v", err)
+		t.Fatalf("delete: %v", err)
 	}
 	if n != 1 {
-		t.Fatalf("DeleteBatch removed %d, want 1", n)
+		t.Fatalf("delete removed %d, want 1", n)
 	}
 	db.Close()
 
@@ -587,7 +587,7 @@ func TestDifferential(t *testing.T) {
 			for i := range batch {
 				batch[i] = randTriple()
 			}
-			if _, err := db.DeleteBatch(batch, rng.Intn(2) == 0); err != nil {
+			if _, _, err := db.Mutate(OpDelete, batch, rng.Intn(2) == 0); err != nil {
 				t.Fatalf("delete: %v", err)
 			}
 			for _, tp := range batch {

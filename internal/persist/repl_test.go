@@ -141,7 +141,7 @@ func TestApplyReplicatedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := leader.DeleteBatch([]dict.StringTriple{tr("s3", "p", "o")}, true); err != nil {
+	if _, _, err := leader.Mutate(OpDelete, []dict.StringTriple{tr("s3", "p", "o")}, true); err != nil {
 		t.Fatal(err)
 	}
 

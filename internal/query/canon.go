@@ -1,8 +1,7 @@
 package query
 
-// Canonicalization: deterministic byte-string keys for solutions (GROUP BY
-// groups, DISTINCT rows) and for whole queries (the result-cache keys of
-// the serving layer).
+// Canonicalization: deterministic byte-string keys for DISTINCT rows and
+// for whole queries (the result-cache keys of the serving layer).
 
 import (
 	"encoding/binary"
@@ -12,18 +11,6 @@ import (
 
 	"repro/internal/graph"
 )
-
-// BindingKey returns a compact canonical key for b restricted to vars:
-// the values in vars order, fixed-width little-endian. Two bindings map
-// to the same key iff they agree on every variable of vars.
-func BindingKey(b graph.Binding, vars []string) string {
-	key := make([]byte, 0, 8*len(vars))
-	for _, v := range vars {
-		x := b[v]
-		key = append(key, byte(x), byte(x>>8), byte(x>>16), byte(x>>24), ';')
-	}
-	return string(key)
-}
 
 // appendRowKey appends the DISTINCT key of one projected row: its values,
 // fixed-width little-endian.
@@ -47,13 +34,7 @@ func appendRowKey(key []byte, row []graph.ID) []byte {
 //     order is an implementation detail (and nondeterministic under
 //     parallelism), so a cached result may legitimately be in a different
 //     order than a fresh evaluation would produce.
-//
-// ok is false when the query is not canonicalizable: Filters are opaque
-// functions, so filtered queries must not be cached.
-func (s Select) CacheKey() (key string, ok bool) {
-	if len(s.Filters) > 0 {
-		return "", false
-	}
+func (s Select) CacheKey() string {
 	pats := make([]string, len(s.Pattern))
 	for i, tp := range s.Pattern {
 		var b strings.Builder
@@ -98,5 +79,5 @@ func (s Select) CacheKey() (key string, ok bool) {
 	b.WriteString(strconv.Itoa(s.Offset))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(s.Limit))
-	return b.String(), true
+	return b.String()
 }

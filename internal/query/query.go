@@ -1,7 +1,7 @@
 // Package query layers the query-language features the paper leaves to
 // future work ("support for other features of graph query languages could
 // be simply layered on top", Section 1) over the LTJ evaluation core:
-// projection, DISTINCT, per-solution filters, ORDER BY, OFFSET and LIMIT.
+// projection, DISTINCT, ORDER BY, OFFSET and LIMIT.
 // Everything composes with any ltj.Index — ring, baselines, or the
 // dynamic store.
 package query
@@ -18,35 +18,6 @@ import (
 	"repro/internal/ltj"
 )
 
-// Filter accepts or rejects one solution.
-type Filter func(graph.Binding) bool
-
-// NotEqual filters solutions where two variables are bound to the same
-// constant (e.g. to exclude degenerate triangles).
-func NotEqual(x, y string) Filter {
-	return func(b graph.Binding) bool { return b[x] != b[y] }
-}
-
-// Equal keeps solutions where two variables coincide.
-func Equal(x, y string) Filter {
-	return func(b graph.Binding) bool { return b[x] == b[y] }
-}
-
-// Less keeps solutions with b[x] < b[y] in identifier order — the usual
-// symmetry-breaking trick for counting undirected motifs once.
-func Less(x, y string) Filter {
-	return func(b graph.Binding) bool { return b[x] < b[y] }
-}
-
-// ValueIn keeps solutions where x is bound to one of the given constants.
-func ValueIn(x string, allowed ...graph.ID) Filter {
-	set := make(map[graph.ID]bool, len(allowed))
-	for _, v := range allowed {
-		set[v] = true
-	}
-	return func(b graph.Binding) bool { return set[b[x]] }
-}
-
 // Select is a query with post-processing clauses.
 type Select struct {
 	// Pattern is the basic graph pattern to evaluate.
@@ -55,9 +26,6 @@ type Select struct {
 	Project []string
 	// Distinct deduplicates projected solutions.
 	Distinct bool
-	// Filters are conjunctive per-solution predicates, applied before
-	// projection.
-	Filters []Filter
 	// OrderBy sorts the results by the given variables ascending (applied
 	// after projection; unlisted variables do not influence the order).
 	OrderBy []string
@@ -73,8 +41,8 @@ type Select struct {
 	Context context.Context
 	// Parallelism sets the LTJ worker count (0/1 = sequential; see
 	// ltj.Options.Parallelism). With no ORDER BY the result order becomes
-	// nondeterministic when > 1; filters, projection, DISTINCT and LIMIT
-	// still apply streamingly, on the calling goroutine.
+	// nondeterministic when > 1; projection, DISTINCT and LIMIT still
+	// apply streamingly, on the calling goroutine.
 	Parallelism int
 	// Stats, when non-nil, receives the engine's operation counts for the
 	// evaluation (leaps, binds, seeks, enumerations).
@@ -100,14 +68,14 @@ func (r Rows) Row(i int) []graph.ID {
 
 // Rows evaluates the query over the index.
 //
-// Filters, projection, DISTINCT and (when no ORDER BY is present) OFFSET
-// and LIMIT are applied streamingly during the join: the first Offset
+// Projection, DISTINCT and (when no ORDER BY is present) OFFSET and
+// LIMIT are applied streamingly during the join: the first Offset
 // solutions are counted but not kept, and the join stops as soon as the
 // window is full. ORDER BY forces full materialisation first. When the
 // evaluation times out the rows kept so far are returned with the error,
 // unsorted and unwindowed if an ORDER BY was pending.
 func (s Select) Rows(idx ltj.Index) (Rows, error) {
-	project, err := s.check()
+	project, err := s.Check()
 	if err != nil {
 		return Rows{}, err
 	}
@@ -182,32 +150,10 @@ func (s Select) Run(idx ltj.Index) ([]graph.Binding, error) {
 	return out, err
 }
 
-// Count evaluates the query and returns only the number of solutions
-// (respecting filters, DISTINCT, OFFSET and LIMIT; ordering cannot change
-// the count and is ignored). It shares Rows's streaming core but never
-// materialises the solutions.
-func (s Select) Count(idx ltj.Index) (int, error) {
-	s.OrderBy = nil
-	project, err := s.check()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	err = s.forEach(idx, project, func([]graph.ID) bool {
-		n++
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	// forEach stopped at Offset+Limit, so what is left after the offset is
-	// within the limit already.
-	return max(n-s.Offset, 0), nil
-}
-
-// check validates the clause variables and resolves the effective
-// projection list.
-func (s Select) check() ([]string, error) {
+// Check validates the clause variables and resolves the effective
+// projection list. Rows runs it first; a server runs it before admission
+// so that a typo comes back as a client error.
+func (s Select) Check() ([]string, error) {
 	vars := s.Pattern.Vars()
 	varSet := map[string]bool{}
 	for _, v := range vars {
@@ -233,9 +179,9 @@ func (s Select) check() ([]string, error) {
 	return project, nil
 }
 
-// forEach is the streaming core under Rows, Run and Count: it evaluates
-// the join on the engine's slots and yields the projection of every
-// solution that survives the filters and DISTINCT, stopping once
+// forEach is the streaming core under Rows: it evaluates the join on the
+// engine's slots and yields the projection of every solution that
+// survives DISTINCT, stopping once
 // Offset+Limit solutions have been yielded (when no ORDER BY needs them
 // all). The row passed to yield is reused; yield copies what it keeps.
 func (s Select) forEach(idx ltj.Index, project []string, yield func(row []graph.ID) bool) error {
@@ -252,15 +198,11 @@ func (s Select) forEach(idx ltj.Index, project []string, yield func(row []graph.
 	}
 	opt := ltj.Options{Timeout: s.Timeout, Context: s.Context, Parallelism: s.Parallelism}
 	var (
-		slots  []int // slots[i] is project[i]'s place in the engine's order
-		row    = make([]graph.ID, len(project))
-		filter graph.Binding // the one Binding the filters read, if any exist
-		seen   map[string]struct{}
-		key    []byte
+		slots []int // slots[i] is project[i]'s place in the engine's order
+		row   = make([]graph.ID, len(project))
+		seen  map[string]struct{}
+		key   []byte
 	)
-	if len(s.Filters) > 0 {
-		filter = graph.Binding{}
-	}
 	if s.Distinct {
 		seen = map[string]struct{}{}
 	}
@@ -270,16 +212,6 @@ func (s Select) forEach(idx ltj.Index, project []string, yield func(row []graph.
 			slots = make([]int, len(project))
 			for i, v := range project {
 				slots[i] = slices.Index(order, v)
-			}
-		}
-		if filter != nil {
-			for j, name := range order {
-				filter[name] = vals[j]
-			}
-			for _, f := range s.Filters {
-				if !f(filter) {
-					return true
-				}
 			}
 		}
 		for i, j := range slots {

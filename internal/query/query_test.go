@@ -92,43 +92,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	g := triangleGraph()
-	idx := ringIndex(g)
-	// Undirected-motif symmetry breaking: x < y < z yields each triangle
-	// once (here the pattern is already directed, so Less is a no-op check
-	// of filter plumbing).
-	res, err := Select{
-		Pattern: trianglePattern(),
-		Filters: []Filter{Less("x", "y"), Less("y", "z")},
-	}.Run(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("filtered triangles = %d, want 2", len(res))
-	}
-	// ValueIn restricting x.
-	res, err = Select{
-		Pattern: trianglePattern(),
-		Filters: []Filter{ValueIn("x", 3)},
-	}.Run(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0]["x"] != 3 {
-		t.Fatalf("ValueIn: %v", res)
-	}
-	// NotEqual and Equal.
-	if !NotEqual("a", "b")(graph.Binding{"a": 1, "b": 2}) ||
-		NotEqual("a", "b")(graph.Binding{"a": 1, "b": 1}) {
-		t.Error("NotEqual wrong")
-	}
-	if !Equal("a", "b")(graph.Binding{"a": 1, "b": 1}) {
-		t.Error("Equal wrong")
-	}
-}
-
 func TestOrderByOffsetLimit(t *testing.T) {
 	g := graph.New([]graph.Triple{
 		{S: 5, P: 0, O: 9}, {S: 3, P: 0, O: 9}, {S: 8, P: 0, O: 9}, {S: 1, P: 0, O: 9},
@@ -175,43 +138,5 @@ func TestStreamingLimitStopsEarly(t *testing.T) {
 	}
 	if len(res) != 5 {
 		t.Fatalf("limit 5: got %d", len(res))
-	}
-}
-
-func TestCount(t *testing.T) {
-	idx := ringIndex(triangleGraph())
-	n, err := Select{Pattern: trianglePattern()}.Count(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("Count = %d, want 2", n)
-	}
-}
-
-func TestAgainstOracleWithFilters(t *testing.T) {
-	rng := rand.New(rand.NewSource(142))
-	g := testutil.RandomGraph(rng, 150, 15, 3)
-	idx := ringIndex(g)
-	for trial := 0; trial < 60; trial++ {
-		q := testutil.RandomPattern(rng, g, 1+rng.Intn(3), 2+rng.Intn(2), 0.4, false)
-		vars := q.Vars()
-		if len(vars) < 2 {
-			continue
-		}
-		f := NotEqual(vars[0], vars[1])
-		got, err := Select{Pattern: q, Filters: []Filter{f}}.Run(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []graph.Binding
-		for _, b := range g.Evaluate(q, 0) {
-			if f(b) {
-				want = append(want, b)
-			}
-		}
-		if diff := testutil.SameSolutions(got, want, vars); diff != "" {
-			t.Fatalf("query %v: %s", q, diff)
-		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // referenceRun is Select's semantics spelled out over ltj.Evaluate's maps,
-// sharing nothing with the row core: filter, project, DISTINCT, stable
-// ORDER BY on the projected maps, OFFSET, LIMIT.
+// sharing nothing with the row core: project, DISTINCT, stable ORDER BY
+// on the projected maps, OFFSET, LIMIT.
 func referenceRun(t *testing.T, idx ltj.Index, s Select) []graph.Binding {
 	t.Helper()
 	res, err := ltj.Evaluate(idx, s.Pattern, ltj.Options{})
@@ -31,19 +31,13 @@ func referenceRun(t *testing.T, idx ltj.Index, s Select) []graph.Binding {
 	}
 	var out []graph.Binding
 	seen := map[string]bool{}
-solutions:
 	for _, b := range res.Solutions {
-		for _, f := range s.Filters {
-			if !f(b) {
-				continue solutions
-			}
-		}
 		proj := graph.Binding{}
 		for _, v := range project {
 			proj[v] = b[v]
 		}
 		if s.Distinct {
-			key := BindingKey(proj, project)
+			key := bindingKey(proj, project)
 			if seen[key] {
 				continue
 			}
@@ -64,6 +58,15 @@ solutions:
 		out = out[:s.Limit]
 	}
 	return out
+}
+
+// bindingKey identifies b by its values at vars.
+func bindingKey(b graph.Binding, vars []string) string {
+	vals := make([]graph.ID, len(vars))
+	for i, v := range vars {
+		vals[i] = b[v]
+	}
+	return fmt.Sprint(vals)
 }
 
 // rowMaps turns Rows back into one map per solution, the way every
@@ -132,9 +135,6 @@ func TestRowsAgainstReference(t *testing.T) {
 				s.OrderBy = append(s.OrderBy, pick())
 			}
 		}
-		if len(vars) > 1 && rng.Intn(3) == 0 {
-			s.Filters = []Filter{NotEqual(vars[0], vars[1])}
-		}
 		if rng.Intn(2) == 0 {
 			s.Offset = rng.Intn(4)
 		}
@@ -152,13 +152,6 @@ func TestRowsAgainstReference(t *testing.T) {
 			run, err := s.Run(ix.idx)
 			if err != nil {
 				t.Fatalf("%s: Run: %v", name, err)
-			}
-			n, err := s.Count(ix.idx)
-			if err != nil {
-				t.Fatalf("%s: Count: %v", name, err)
-			}
-			if n != len(want) {
-				t.Fatalf("%s: Count = %d, want %d", name, n, len(want))
 			}
 			project := rows.Vars
 			for label, got := range map[string][]graph.Binding{"Rows": rowMaps(rows), "Run": run} {
@@ -211,10 +204,10 @@ func restrict(sols []graph.Binding, vars []string) []graph.Binding {
 func subMultiset(sub, all []graph.Binding, vars []string) bool {
 	have := map[string]int{}
 	for _, b := range all {
-		have[BindingKey(b, vars)]++
+		have[bindingKey(b, vars)]++
 	}
 	for _, b := range sub {
-		key := BindingKey(b, vars)
+		key := bindingKey(b, vars)
 		if have[key]--; have[key] < 0 {
 			return false
 		}
@@ -222,14 +215,52 @@ func subMultiset(sub, all []graph.Binding, vars []string) bool {
 	return true
 }
 
+// stallIndex wraps an index so that its iterators sleep once, for d, at
+// their at-th step (a leap or an enumerated value; 0 = never): a stall
+// past the deadline after some solutions have been produced. Its
+// iterators do not offer the batched lane.
+type stallIndex struct {
+	idx   ltj.Index
+	at    int
+	d     time.Duration
+	steps int
+}
+
+func (s *stallIndex) NewPatternIter(tp graph.TriplePattern) ltj.PatternIter {
+	return &stallIter{PatternIter: s.idx.NewPatternIter(tp), s: s}
+}
+
+type stallIter struct {
+	ltj.PatternIter
+	s *stallIndex
+}
+
+func (it *stallIter) step() {
+	if it.s.steps++; it.s.steps == it.s.at {
+		time.Sleep(it.s.d)
+	}
+}
+
+func (it *stallIter) Leap(pos graph.Position, c graph.ID) (graph.ID, bool) {
+	it.step()
+	return it.PatternIter.Leap(pos, c)
+}
+
+func (it *stallIter) Enumerate(pos graph.Position, visit func(graph.ID) bool) {
+	it.PatternIter.Enumerate(pos, func(v graph.ID) bool {
+		it.step()
+		return visit(v)
+	})
+}
+
 // TestRowsTimeoutCut stalls the evaluation past its deadline from inside
-// a filter, after some solutions have been produced: Rows and Run must
+// an iterator, after some solutions have been produced: Rows and Run must
 // both report ErrTimeout and return what they had — a non-empty prefix of
 // the untimed stream (after the offset when it streams; before sorting
 // when an ORDER BY was pending).
 func TestRowsTimeoutCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	idx := ringIndex(testutil.RandomGraph(rng, 2000, 50, 2))
+	base := ringIndex(testutil.RandomGraph(rng, 2000, 50, 2))
 	q := graph.Pattern{
 		graph.TP(graph.Var("x"), graph.Var("p"), graph.Var("y")),
 		graph.TP(graph.Var("y"), graph.Var("q"), graph.Var("z")),
@@ -245,23 +276,19 @@ func TestRowsTimeoutCut(t *testing.T) {
 		if len(s.OrderBy) > 0 {
 			untimed.Offset = 0
 		}
-		full, err := untimed.Run(idx)
+		full, err := untimed.Run(&stallIndex{idx: base})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, run := range []func(Select) ([]graph.Binding, error){
-			func(s Select) ([]graph.Binding, error) { rows, err := s.Rows(idx); return rowMaps(rows), err },
-			func(s Select) ([]graph.Binding, error) { return s.Run(idx) },
+		for _, run := range []func(Select, ltj.Index) ([]graph.Binding, error){
+			func(s Select, idx ltj.Index) ([]graph.Binding, error) {
+				rows, err := s.Rows(idx)
+				return rowMaps(rows), err
+			},
+			Select.Run,
 		} {
-			seen := 0
 			s.Timeout = 20 * time.Millisecond
-			s.Filters = []Filter{func(graph.Binding) bool {
-				if seen++; seen == 50 {
-					time.Sleep(3 * s.Timeout)
-				}
-				return true
-			}}
-			got, err := run(s)
+			got, err := run(s, &stallIndex{idx: base, at: 100, d: 3 * s.Timeout})
 			if !errors.Is(err, ltj.ErrTimeout) {
 				t.Fatalf("%+v: error = %v, want ErrTimeout", s, err)
 			}
@@ -307,9 +334,6 @@ func TestWindowOverflow(t *testing.T) {
 		// as they stream past, not materialised and then sliced away.
 		if held := cap(rows.IDs) / len(rows.Vars); held > 2*tc.want+8 {
 			t.Errorf("%s: Rows holds room for %d solutions to return %d", tc.name, held, tc.want)
-		}
-		if n, err := s.Count(idx); err != nil || n != tc.want {
-			t.Errorf("%s: Count = %d, %v, want %d", tc.name, n, err, tc.want)
 		}
 	}
 }

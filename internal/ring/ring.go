@@ -286,18 +286,6 @@ func (r *Ring) lfPos(z Zone, c uint64, rk int) int {
 	return j
 }
 
-// LFCycleCheck verifies Lemma 3.3 for rotation i of zone SPO: three
-// LF-steps return to i. It is exported for tests and diagnostics.
-func (r *Ring) LFCycleCheck(i int) bool {
-	o := r.cols[ZoneSPO].Access(i)
-	j := r.lfPos(ZoneOSP, o, r.cols[ZoneSPO].Rank(o, i))
-	p := r.cols[ZoneOSP].Access(j)
-	k := r.lfPos(ZonePOS, p, r.cols[ZoneOSP].Rank(p, j))
-	s := r.cols[ZonePOS].Access(k)
-	back := r.lfPos(ZoneSPO, s, r.cols[ZonePOS].Rank(s, k))
-	return back == i
-}
-
 // Triples reconstructs the full sorted triple list from the index.
 func (r *Ring) Triples() []graph.Triple {
 	out := make([]graph.Triple, r.n)

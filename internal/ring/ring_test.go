@@ -43,12 +43,24 @@ func TestTripleRetrievalReplacesData(t *testing.T) {
 	}
 }
 
+// lfCycleCheck verifies Lemma 3.3 for rotation i of zone SPO: three
+// LF-steps return to i.
+func lfCycleCheck(r *Ring, i int) bool {
+	o := r.cols[ZoneSPO].Access(i)
+	j := r.lfPos(ZoneOSP, o, r.cols[ZoneSPO].Rank(o, i))
+	p := r.cols[ZoneOSP].Access(j)
+	k := r.lfPos(ZonePOS, p, r.cols[ZoneOSP].Rank(p, j))
+	s := r.cols[ZonePOS].Access(k)
+	back := r.lfPos(ZoneSPO, s, r.cols[ZonePOS].Rank(s, k))
+	return back == i
+}
+
 func TestLFCycles(t *testing.T) {
 	// Lemma 3.3: three LF-steps starting from any rotation return to it.
 	g := testutil.RandomGraph(rand.New(rand.NewSource(32)), 300, 40, 6)
 	r := New(g, Options{})
 	for i := 0; i < r.Len(); i++ {
-		if !r.LFCycleCheck(i) {
+		if !lfCycleCheck(r, i) {
 			t.Fatalf("LF cycle broken at rotation %d", i)
 		}
 	}

@@ -52,18 +52,6 @@ func (r *Ring) PredicateCount(p graph.ID) int {
 	return hi - lo
 }
 
-// SubjectDegree returns the out-degree of s (triples with subject s).
-func (r *Ring) SubjectDegree(s graph.ID) int {
-	lo, hi := r.CRange(ZoneSPO, s)
-	return hi - lo
-}
-
-// ObjectDegree returns the in-degree of o (triples with object o).
-func (r *Ring) ObjectDegree(o graph.ID) int {
-	lo, hi := r.CRange(ZoneOSP, o)
-	return hi - lo
-}
-
 // TopPredicates returns the k most frequent predicates with their counts,
 // in decreasing count order (ties by identifier). It scans C_p once.
 func (r *Ring) TopPredicates(k int) []PredicateStat {

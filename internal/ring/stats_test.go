@@ -44,11 +44,11 @@ func TestStatsAgainstOracle(t *testing.T) {
 		t.Fatalf("Stats = %+v, want (%d,%d,%d)", st, len(subj), len(pred), len(obj))
 	}
 	for s := graph.ID(0); s < 50; s++ {
-		if got := r.SubjectDegree(s); got != degS[s] {
-			t.Fatalf("SubjectDegree(%d) = %d, want %d", s, got, degS[s])
+		if lo, hi := r.CRange(ZoneSPO, s); hi-lo != degS[s] {
+			t.Fatalf("out-degree of %d = %d, want %d", s, hi-lo, degS[s])
 		}
-		if got := r.ObjectDegree(s); got != degO[s] {
-			t.Fatalf("ObjectDegree(%d) = %d, want %d", s, got, degO[s])
+		if lo, hi := r.CRange(ZoneOSP, s); hi-lo != degO[s] {
+			t.Fatalf("in-degree of %d = %d, want %d", s, hi-lo, degO[s])
 		}
 	}
 	for p := graph.ID(0); p < 6; p++ {

@@ -149,9 +149,6 @@ func buildCycleRing(ts []Tuple, cycle []int, d int, u uint64) *cycleRing {
 	return r
 }
 
-// D returns the arity.
-func (idx *Index) D() int { return idx.d }
-
 // Len returns the number of distinct indexed tuples.
 func (idx *Index) Len() int { return idx.n }
 
@@ -280,23 +277,4 @@ func (idx *Index) Leap(bound map[int]Value, a int, c Value) (Value, bool) {
 		return Value(v), true
 	}
 	panic(fmt.Sprintf("ringhd: no indexed cycle supports leap (bound=%v, attr=%d)", bound, a))
-}
-
-// TupleAt reconstructs the i-th tuple (in the first cycle's zone-0 order)
-// by walking the LF cycle, demonstrating that the d-ary ring also replaces
-// the raw data.
-func (idx *Index) TupleAt(i int) Tuple {
-	r := idx.rings[0]
-	d := idx.d
-	out := make(Tuple, d)
-	z := 0
-	pos := i
-	for step := 0; step < d; step++ {
-		pz := (z - 1 + d) % d
-		v := r.cols[z].Access(pos)
-		out[r.cycle[pz]] = Value(v)
-		pos = int(r.c[pz].Get(int(v))) + r.cols[z].Rank(v, pos)
-		z = pz
-	}
-	return out
 }

@@ -31,7 +31,9 @@ type QueryRequest struct {
 	Project []string `json:"project,omitempty"`
 	// Distinct deduplicates projected solutions.
 	Distinct bool `json:"distinct,omitempty"`
-	// OrderBy sorts by the given variables (dictionary order).
+	// OrderBy sorts by the given variables in identifier order. That is
+	// term order only for a dictionary built whole (dict.Build); a live
+	// store assigns new terms their identifiers in arrival order.
 	OrderBy []string `json:"order_by,omitempty"`
 	// Offset skips results (after ordering).
 	Offset int `json:"offset,omitempty"`

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	wcoring "repro"
-	"repro/internal/graph"
 	"repro/internal/ltj"
 	"repro/internal/persist"
 	"repro/internal/query"
@@ -218,7 +217,7 @@ func (s *Server) SetStore(st *wcoring.Store) error {
 		return fmt.Errorf("server: self-check failed: ring reports %d triples, store %d", stats.Triples, st.Len())
 	}
 	probe := []wcoring.PatternString{{S: "?s", P: "?p", O: "?o"}}
-	if _, err := st.Query(probe, wcoring.QueryOptions{Limit: 1, Timeout: 30 * time.Second}); err != nil {
+	if _, err := st.Select(probe, wcoring.SelectOptions{QueryOptions: wcoring.QueryOptions{Limit: 1, Timeout: 30 * time.Second}}); err != nil {
 		return fmt.Errorf("server: self-check query failed: %w", err)
 	}
 	if s.store.Swap(st) != nil && s.cache != nil {
@@ -489,15 +488,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	encoded, predVars, feasible, err := idx.Compile(req.patternStrings())
-	if err == nil {
-		err = checkVars(encoded, req.Project, req.OrderBy, feasible)
-	}
 	if err != nil {
 		s.badQuery(w, err.Error())
 		return
 	}
 	if !feasible {
-		// A constant is absent from the dictionary: provably no solutions.
+		// A constant is absent from the dictionary: provably no solutions
+		// (the compiled pattern is empty, so its variables go unchecked).
 		s.met.queries.get(`outcome="ok"`).inc()
 		resp := newBody()
 		resp.b = append(resp.b, "[]"...)
@@ -515,12 +512,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Timeout:     timeout,
 		Parallelism: s.cfg.Parallelism,
 	}
-	key, cacheable := sel.CacheKey()
+	// Projection and order-by typos come back as 400s, not 500s.
+	if _, err := sel.Check(); err != nil {
+		s.badQuery(w, err.Error())
+		return
+	}
 	// In live mode the key carries the store generation: a batch applied
 	// between two identical queries changes the prefix, so stale entries
 	// can never hit (they age out of the LRU instead).
-	key = idx.CachePrefix() + key
-	cacheable = cacheable && s.cache != nil && !req.NoCache
+	key := idx.CachePrefix() + sel.CacheKey()
+	cacheable := s.cache != nil && !req.NoCache
 	if cacheable {
 		if sols, count, ok := s.cache.get(key); ok {
 			s.met.queries.get(`outcome="cache_hit"`).inc()
@@ -617,32 +618,6 @@ func (s *Server) clientGone(w http.ResponseWriter) {
 // disconnected before the response": nothing standard fits, and access
 // logs need to tell these from real errors.
 const statusClientClosedRequest = 499
-
-// checkVars validates projection and order-by variables against the
-// pattern before evaluation, so typos come back as 400s, not 500s. When
-// the query is infeasible (a constant missing from the dictionary) the
-// compiled pattern is empty and validation is skipped — the result is
-// empty either way.
-func checkVars(p graph.Pattern, project, orderBy []string, feasible bool) error {
-	if !feasible {
-		return nil
-	}
-	vars := map[string]bool{}
-	for _, v := range p.Vars() {
-		vars[v] = true
-	}
-	for _, v := range project {
-		if !vars[v] {
-			return fmt.Errorf("projected variable %q not in pattern", v)
-		}
-	}
-	for _, v := range orderBy {
-		if !vars[v] {
-			return fmt.Errorf("order-by variable %q not in pattern", v)
-		}
-	}
-	return nil
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -40,7 +40,7 @@ func TestViewMatchesRead(t *testing.T) {
 			if consumed != len(data) {
 				t.Fatalf("%s skew %d: consumed %d of %d bytes", tc.name, skew, consumed, len(data))
 			}
-			if m.Len() != len(s) || m.Sigma() != 57 {
+			if m.Len() != len(s) || m.sigma != 57 {
 				t.Fatalf("%s skew %d: header mismatch", tc.name, skew)
 			}
 			for i := range s {
@@ -98,7 +98,7 @@ func TestViewBitFlips(t *testing.T) {
 				for j := 0; j < n; j += 3 {
 					m.Access(j)
 				}
-				for sym := uint64(0); sym < m.Sigma() && sym < 64; sym++ {
+				for sym := uint64(0); sym < m.sigma && sym < 64; sym++ {
 					if k := m.Rank(sym, n); k > 0 {
 						m.Select(sym, 1)
 						m.Select(sym, k)

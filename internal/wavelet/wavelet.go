@@ -162,9 +162,6 @@ func lenBits(v uint64) uint {
 // Len returns the sequence length.
 func (m *Matrix) Len() int { return m.n }
 
-// Sigma returns the alphabet size σ (symbols are in [0, σ)).
-func (m *Matrix) Sigma() uint64 { return m.sigma }
-
 // Access returns S[i].
 //
 //ringlint:hotpath

@@ -275,7 +275,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: View: %v", tc.name, err)
 		}
-		if got.Len() != m.Len() || got.Sigma() != m.Sigma() {
+		if got.Len() != m.Len() || got.sigma != m.sigma {
 			t.Fatalf("%s: header mismatch after round-trip", tc.name)
 		}
 		for i := range s {

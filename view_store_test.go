@@ -21,11 +21,11 @@ func alignedCopy(data []byte, skew int) []byte {
 
 func paperSolutions(t *testing.T, s *Store) []string {
 	t.Helper()
-	sols, err := s.Query([]PatternString{
+	sols, err := s.Select([]PatternString{
 		{S: "?x", P: "win", O: "?y"},
 		{S: "?x", P: "nom", O: "?z"},
 		{S: "?z", P: "adv", O: "?y"},
-	}, QueryOptions{})
+	}, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@
 //		{"nobel", "nominee", "thomson"},
 //	}, wcoring.Options{})
 //	...
-//	sols, err := store.Query([]wcoring.PatternString{
+//	sols, err := store.Select([]wcoring.PatternString{
 //		{S: "?x", P: "winner", O: "?y"},
 //		{S: "?x", P: "nominee", O: "?z"},
 //		{S: "?z", P: "advisor", O: "?y"},
-//	}, wcoring.QueryOptions{})
+//	}, wcoring.SelectOptions{})
 //
 // Terms beginning with '?' are variables; everything else is a constant.
 // Solutions come back as variable→string maps.
@@ -118,8 +118,6 @@ type QueryOptions struct {
 	// Cancellation surfaces as an error wrapping ErrCancelled and the
 	// context's own Err().
 	Context context.Context
-	// Order forces a variable elimination order (nil = automatic).
-	Order []string
 	// Parallelism sets the number of worker goroutines for intra-query
 	// evaluation (0 or 1 = sequential, deterministic order; > 1 returns
 	// the same solution multiset in nondeterministic order). The ring is
@@ -144,7 +142,7 @@ func Evaluate(r *Ring, q Pattern, opt QueryOptions) ([]Binding, error) {
 func (opt QueryOptions) ltj() ltj.Options {
 	return ltj.Options{
 		Limit: opt.Limit, Timeout: opt.Timeout, Context: opt.Context,
-		Order: opt.Order, Parallelism: opt.Parallelism,
+		Parallelism: opt.Parallelism,
 	}
 }
 
@@ -155,9 +153,9 @@ func ringIndex(r *Ring) ltj.Index {
 	})
 }
 
-// ErrTimeout reports that evaluation hit QueryOptions.Timeout; partial
-// solutions are still returned.
-var ErrTimeout = errors.New("wcoring: query timed out")
+// ErrTimeout reports that evaluation hit QueryOptions.Timeout; the
+// solutions found so far are still returned with it.
+var ErrTimeout = ltj.ErrTimeout
 
 // ErrCancelled reports that QueryOptions.Context was cancelled before the
 // evaluation finished; the returned error also wraps the context's Err().
@@ -273,31 +271,6 @@ func CompilePatterns(d *Dictionary, q []PatternString) (Pattern, map[string]bool
 	return out, predVars, true, nil
 }
 
-// Query evaluates string-level basic graph patterns and decodes the
-// solutions back to strings.
-func (s *Store) Query(q []PatternString, opt QueryOptions) ([]map[string]string, error) {
-	encoded, predVars, feasible, err := s.compile(q)
-	if err != nil {
-		return nil, err
-	}
-	if !feasible {
-		return nil, nil
-	}
-	out := []map[string]string{}
-	var stats EvalStats
-	err = ltj.StreamSlots(ringIndex(s.ring), encoded, opt.ltj(), &stats, func(order []string, vals []ID) bool {
-		out = append(out, s.dict.DecodeRow(order, vals, predVars))
-		return opt.Limit <= 0 || len(out) < opt.Limit
-	})
-	switch {
-	case errors.Is(err, ltj.ErrTimeout):
-		return out, ErrTimeout
-	case err != nil:
-		return nil, err
-	}
-	return out, nil
-}
-
 // SelectOptions extends QueryOptions with the layered query features of
 // package internal/query: projection, DISTINCT, ordering and windowing.
 type SelectOptions struct {
@@ -306,8 +279,10 @@ type SelectOptions struct {
 	Project []string
 	// Distinct deduplicates projected solutions.
 	Distinct bool
-	// OrderBy sorts results by the given variables (by constant ID, i.e.
-	// lexicographically, since the dictionary assigns IDs in sorted order).
+	// OrderBy sorts results by the given variables in identifier order.
+	// That is term order only for a dictionary built whole (dict.Build,
+	// as NewStore does); a live store assigns new terms their identifiers
+	// in arrival order.
 	OrderBy []string
 	// Offset skips the first results (applied after ordering).
 	Offset int
@@ -317,8 +292,11 @@ type SelectOptions struct {
 	Stats *EvalStats
 }
 
-// Select evaluates a query with projection/DISTINCT/ORDER BY/OFFSET on
-// top of the wco join, decoding solutions to strings.
+// Select evaluates string-level basic graph patterns, with projection,
+// DISTINCT, ORDER BY and OFFSET on top of the wco join, and decodes the
+// solutions back to strings. A query that hits QueryOptions.Timeout
+// returns the solutions found so far with ErrTimeout (unsorted and
+// unwindowed if an ORDER BY was pending).
 func (s *Store) Select(q []PatternString, opt SelectOptions) ([]map[string]string, error) {
 	encoded, predVars, feasible, err := s.compile(q)
 	if err != nil {
@@ -339,14 +317,14 @@ func (s *Store) Select(q []PatternString, opt SelectOptions) ([]map[string]strin
 		Parallelism: opt.Parallelism,
 		Stats:       opt.Stats,
 	}.Rows(ringIndex(s.ring))
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrTimeout) {
 		return nil, err
 	}
 	out := make([]map[string]string, rows.N)
 	for i := range out {
 		out[i] = s.dict.DecodeRow(rows.Vars, rows.Row(i), predVars)
 	}
-	return out, nil
+	return out, err
 }
 
 // Reach evaluates a regular path query from the given source node: it

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/ltj"
 )
 
 func nobelTriples() []StringTriple {
@@ -39,11 +41,11 @@ func nobelStore(t *testing.T, opt Options) *Store {
 func TestStorePaperQuery(t *testing.T) {
 	for _, opt := range []Options{{}, {Compress: true}} {
 		store := nobelStore(t, opt)
-		sols, err := store.Query([]PatternString{
+		sols, err := store.Select([]PatternString{
 			{S: "?x", P: "win", O: "?y"},
 			{S: "?x", P: "nom", O: "?z"},
 			{S: "?z", P: "adv", O: "?y"},
-		}, QueryOptions{})
+		}, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,9 +63,9 @@ func TestStorePaperQuery(t *testing.T) {
 
 func TestStoreVariablePredicate(t *testing.T) {
 	store := nobelStore(t, Options{})
-	sols, err := store.Query([]PatternString{
+	sols, err := store.Select([]PatternString{
 		{S: "Nobel", P: "?rel", O: "Bohr"},
-	}, QueryOptions{})
+	}, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +80,9 @@ func TestStoreVariablePredicate(t *testing.T) {
 
 func TestStoreAbsentConstantIsEmpty(t *testing.T) {
 	store := nobelStore(t, Options{})
-	sols, err := store.Query([]PatternString{
+	sols, err := store.Select([]PatternString{
 		{S: "Einstein", P: "win", O: "?y"},
-	}, QueryOptions{})
+	}, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +93,19 @@ func TestStoreAbsentConstantIsEmpty(t *testing.T) {
 
 func TestStoreQueryValidation(t *testing.T) {
 	store := nobelStore(t, Options{})
-	if _, err := store.Query([]PatternString{{S: "", P: "win", O: "?y"}}, QueryOptions{}); err == nil {
+	if _, err := store.Select([]PatternString{{S: "", P: "win", O: "?y"}}, SelectOptions{}); err == nil {
 		t.Error("empty component accepted")
 	}
-	if _, err := store.Query([]PatternString{{S: "?", P: "win", O: "?y"}}, QueryOptions{}); err == nil {
+	if _, err := store.Select([]PatternString{{S: "?", P: "win", O: "?y"}}, SelectOptions{}); err == nil {
 		t.Error("unnamed variable accepted")
 	}
 }
 
 func TestStoreLimit(t *testing.T) {
 	store := nobelStore(t, Options{})
-	sols, err := store.Query([]PatternString{
+	sols, err := store.Select([]PatternString{
 		{S: "?s", P: "?p", O: "?o"},
-	}, QueryOptions{Limit: 4})
+	}, SelectOptions{QueryOptions: QueryOptions{Limit: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +127,9 @@ func TestStoreSerializationRoundTrip(t *testing.T) {
 	if loaded.Len() != store.Len() {
 		t.Fatalf("Len after reload = %d, want %d", loaded.Len(), store.Len())
 	}
-	sols, err := loaded.Query([]PatternString{
+	sols, err := loaded.Select([]PatternString{
 		{S: "?who", P: "adv", O: "Bohr"},
-	}, QueryOptions{})
+	}, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,16 +170,47 @@ func TestEvaluateTimeoutSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = store.Query([]PatternString{
+	_, err = store.Select([]PatternString{
 		{S: "?a", P: "e", O: "?b"},
 		{S: "?b", P: "e", O: "?c"},
 		{S: "?c", P: "e", O: "?d"},
-	}, QueryOptions{Timeout: time.Nanosecond})
+	}, SelectOptions{QueryOptions: QueryOptions{Timeout: time.Nanosecond}})
 	if err == nil {
 		t.Skip("query finished within a nanosecond budget")
 	}
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error = %v, want ErrTimeout", err)
+	}
+}
+
+// TestSelectTimeoutKeepsPartialRows: a query cut by its timeout returns
+// the solutions found so far, with an error that is both ErrTimeout and
+// the engine's ltj.ErrTimeout.
+func TestSelectTimeoutKeepsPartialRows(t *testing.T) {
+	var ts []StringTriple
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			ts = append(ts, StringTriple{S: name(i), P: "e", O: name(j)})
+		}
+	}
+	store, err := NewStore(ts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 40^4 solutions: far more than a millisecond's work.
+	sols, err := store.Select([]PatternString{
+		{S: "?a", P: "e", O: "?b"},
+		{S: "?b", P: "e", O: "?c"},
+		{S: "?c", P: "e", O: "?d"},
+	}, SelectOptions{QueryOptions: QueryOptions{Timeout: time.Millisecond}})
+	if !errors.Is(err, ErrTimeout) || !errors.Is(err, ltj.ErrTimeout) {
+		t.Fatalf("error = %v, want ErrTimeout (ltj.ErrTimeout)", err)
+	}
+	if len(sols) == 0 {
+		t.Fatal("timed-out query returned no rows")
+	}
+	if s := sols[0]; len(s) != 4 || s["a"] == "" || s["d"] == "" {
+		t.Fatalf("partial row %v is not a decoded solution", s)
 	}
 }
 
