@@ -10,68 +10,134 @@
 package flattrie
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/ltj"
 )
 
-// perms enumerates the six level orders.
-var perms = [6][3]graph.Position{
-	{graph.PosS, graph.PosP, graph.PosO},
-	{graph.PosS, graph.PosO, graph.PosP},
-	{graph.PosP, graph.PosS, graph.PosO},
-	{graph.PosP, graph.PosO, graph.PosS},
-	{graph.PosO, graph.PosS, graph.PosP},
-	{graph.PosO, graph.PosP, graph.PosS},
+// The six level orders are numbered SPO, SOP, PSO, POS, OSP, OPS: order
+// 2*a is the first to start with position a, and byPrefix[a][b] is the
+// order whose levels start with a then b (the diagonal, a prefix no
+// pattern can bind, repeats order 2*a).
+var byPrefix = [3][3]int{
+	graph.PosS: {0, 0, 1},
+	graph.PosP: {2, 2, 3},
+	graph.PosO: {4, 5, 4},
 }
 
-// permIndex returns the index in perms of the order whose first k levels
-// are exactly the positions of prefix (in order) — completing arbitrary
-// levels afterwards.
-func permIndex(prefix []graph.Position) int {
-	for i, p := range perms {
-		ok := true
-		for j, pos := range prefix {
-			if p[j] != pos {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i
-		}
+// cmps compares two triples lexicographically in each of the six orders.
+var cmps = [6]func(a, b graph.Triple) int{
+	func(a, b graph.Triple) int { return cmp3(a.S, a.P, a.O, b.S, b.P, b.O) },
+	func(a, b graph.Triple) int { return cmp3(a.S, a.O, a.P, b.S, b.O, b.P) },
+	func(a, b graph.Triple) int { return cmp3(a.P, a.S, a.O, b.P, b.S, b.O) },
+	func(a, b graph.Triple) int { return cmp3(a.P, a.O, a.S, b.P, b.O, b.S) },
+	func(a, b graph.Triple) int { return cmp3(a.O, a.S, a.P, b.O, b.S, b.P) },
+	func(a, b graph.Triple) int { return cmp3(a.O, a.P, a.S, b.O, b.P, b.S) },
+}
+
+func cmp3(a0, a1, a2, b0, b1, b2 graph.ID) int {
+	if c := cmp.Compare(a0, b0); c != 0 {
+		return c
 	}
-	panic(fmt.Sprintf("flattrie: no order with prefix %v", prefix))
+	if c := cmp.Compare(a1, b1); c != 0 {
+		return c
+	}
+	return cmp.Compare(a2, b2)
 }
 
-// Index stores the six sorted copies.
+// Index stores the six sorted copies. It is immutable: Merge and Without
+// return new indexes and leave their receiver untouched, so a published
+// index can be read by any number of goroutines while a writer derives
+// the next one from it.
 type Index struct {
 	orders [6][]graph.Triple
-	n      int
 }
 
 // New builds the six flat tries of g.
 func New(g *graph.Graph) *Index {
-	idx := &Index{n: g.Len()}
-	for i, p := range perms {
-		ts := make([]graph.Triple, g.Len())
-		copy(ts, g.Triples())
-		p := p
-		sort.Slice(ts, func(a, b int) bool {
-			x, y := ts[a], ts[b]
-			for _, pos := range p {
-				xv, yv := coord(x, pos), coord(y, pos)
-				if xv != yv {
-					return xv < yv
-				}
-			}
-			return false
-		})
-		idx.orders[i] = ts
-	}
+	return fromSPO(slices.Clone(g.Triples()))
+}
+
+// FromTriples builds the six flat tries of a set of triples given in any
+// order; duplicates are dropped. It costs a few linear passes per order on
+// large inputs (see stableBy).
+func FromTriples(ts []graph.Triple) *Index {
+	spo := stableBy(stableBy(stableBy(ts, graph.PosO), graph.PosP), graph.PosS)
+	return fromSPO(slices.Compact(spo))
+}
+
+// fromSPO derives the other five orders from the duplicate-free SPO order.
+// A stable sort on one coordinate x of an array sorted by (y, z) leaves it
+// sorted by (x, y, z), so each order costs one single-coordinate pass over
+// an order already built.
+func fromSPO(spo []graph.Triple) *Index {
+	idx := &Index{}
+	idx.orders[0] = spo
+	idx.orders[4] = stableBy(spo, graph.PosO)           // OSP
+	idx.orders[3] = stableBy(idx.orders[4], graph.PosP) // POS
+	idx.orders[2] = stableBy(spo, graph.PosP)           // PSO
+	idx.orders[5] = stableBy(idx.orders[2], graph.PosO) // OPS
+	idx.orders[1] = stableBy(idx.orders[5], graph.PosS) // SOP
 	return idx
+}
+
+// stableBy returns a copy of src stably sorted by the coordinate at pos.
+// It counting-sorts in 16-bit digits of the value's offset from the
+// smallest one, unless the offsets span more than four buckets per
+// triple, where clearing and summing the buckets would cost more than
+// sorting (value, input position) keys does.
+func stableBy(src []graph.Triple, pos graph.Position) []graph.Triple {
+	dst := make([]graph.Triple, len(src))
+	if len(src) == 0 {
+		return dst
+	}
+	lo, hi := coord(src[0], pos), coord(src[0], pos)
+	for _, t := range src[1:] {
+		v := coord(t, pos)
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	span := uint64(hi-lo) + 1
+	if span > 4*uint64(len(src)) {
+		keys := make([]uint64, len(src))
+		for i, t := range src {
+			keys[i] = uint64(coord(t, pos))<<32 | uint64(i)
+		}
+		slices.Sort(keys)
+		for j, k := range keys {
+			dst[j] = src[uint32(k)]
+		}
+		return dst
+	}
+	if span <= 1<<16 {
+		countingPass(dst, src, pos, lo, 0, int(span))
+		return dst
+	}
+	tmp := make([]graph.Triple, len(src))
+	countingPass(tmp, src, pos, lo, 0, 1<<16)
+	countingPass(dst, tmp, pos, lo, 16, int(span>>16)+1)
+	return dst
+}
+
+// countingPass stably scatters src into dst by the 16-bit digit
+// ((coord - lo) >> shift) & 0xffff, which takes values below buckets.
+func countingPass(dst, src []graph.Triple, pos graph.Position, lo graph.ID, shift uint, buckets int) {
+	at := make([]int, buckets)
+	for _, t := range src {
+		at[((coord(t, pos)-lo)>>shift)&0xffff]++
+	}
+	sum := 0
+	for d, c := range at {
+		at[d] = sum
+		sum += c
+	}
+	for _, t := range src {
+		d := ((coord(t, pos) - lo) >> shift) & 0xffff
+		dst[at[d]] = t
+		at[d]++
+	}
 }
 
 func coord(t graph.Triple, pos graph.Position) graph.ID {
@@ -87,17 +153,97 @@ func coord(t graph.Triple, pos graph.Position) graph.ID {
 
 // SizeBytes returns the memory footprint: six triple arrays.
 func (idx *Index) SizeBytes() int {
-	return 6*12*idx.n + 6*24
+	return 6*12*idx.Len() + 6*24
 }
 
 // Len returns the number of indexed triples.
-func (idx *Index) Len() int { return idx.n }
+func (idx *Index) Len() int { return len(idx.orders[0]) }
+
+// Triples returns the indexed triples in (s,p,o) order. The slice is
+// shared read-only.
+func (idx *Index) Triples() []graph.Triple { return idx.orders[0] }
+
+// Contains reports whether t is indexed, by binary search.
+func (idx *Index) Contains(t graph.Triple) bool {
+	_, ok := slices.BinarySearchFunc(idx.orders[0], t, cmps[0])
+	return ok
+}
+
+// Equal reports whether both indexes hold the same six arrays.
+func (idx *Index) Equal(o *Index) bool {
+	for i := range idx.orders {
+		if !slices.Equal(idx.orders[i], o.orders[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Merge returns the index over the union of both triple sets. Each order
+// is merged by binary-searching the smaller side's triples in the larger
+// side and copying the runs between them, so the cost is one copy of the
+// result plus O(small · log large) comparisons.
+func (idx *Index) Merge(o *Index) *Index {
+	if o.Len() == 0 {
+		return idx
+	}
+	if idx.Len() == 0 {
+		return o
+	}
+	out := &Index{}
+	for i := range out.orders {
+		big, small := idx.orders[i], o.orders[i]
+		if len(big) < len(small) {
+			big, small = small, big
+		}
+		merged := make([]graph.Triple, 0, len(big)+len(small))
+		for _, t := range small {
+			j, found := slices.BinarySearchFunc(big, t, cmps[i])
+			merged = append(merged, big[:j]...)
+			big = big[j:]
+			if !found {
+				merged = append(merged, t)
+			}
+		}
+		out.orders[i] = append(merged, big...)
+	}
+	return out
+}
+
+// Without returns the index with the given triples removed (those it does
+// not hold are ignored). Each order costs one copy plus a binary search
+// per removed triple.
+func (idx *Index) Without(drop []graph.Triple) *Index {
+	out := &Index{}
+	at := make([]int, 0, len(drop))
+	for i, arr := range idx.orders {
+		at = at[:0]
+		for _, t := range drop {
+			if j, ok := slices.BinarySearchFunc(arr, t, cmps[i]); ok {
+				at = append(at, j)
+			}
+		}
+		if len(at) == 0 {
+			return idx // every order holds the same triples: none to drop
+		}
+		slices.Sort(at)
+		at = slices.Compact(at)
+		kept := make([]graph.Triple, 0, len(arr)-len(at))
+		prev := 0
+		for _, j := range at {
+			kept = append(kept, arr[prev:j]...)
+			prev = j + 1
+		}
+		out.orders[i] = append(kept, arr[prev:]...)
+	}
+	return out
+}
 
 // NewPatternIter creates the trie-iterator for tp (constants bound at
 // creation).
 func (idx *Index) NewPatternIter(tp graph.TriplePattern) ltj.PatternIter {
-	it := &patternIter{idx: idx}
-	for _, pos := range []graph.Position{graph.PosS, graph.PosP, graph.PosO} {
+	it := &patternIter{idx: idx, hi: idx.Len()}
+	for pos := graph.PosS; pos <= graph.PosO; pos++ {
 		if t := tp.Term(pos); !t.IsVar {
 			it.Bind(pos, t.Value)
 		}
@@ -107,52 +253,48 @@ func (idx *Index) NewPatternIter(tp graph.TriplePattern) ltj.PatternIter {
 
 // patternIter navigates the flat tries. The bound positions, in binding
 // order, select the trie whose levels start with exactly that sequence;
-// the matching triples then form a contiguous range of that trie found by
-// binary search.
+// the matching triples then form a contiguous range [lo, hi) of that trie
+// found by binary search (the whole trie while nothing is bound).
 type patternIter struct {
 	idx    *Index
-	prefix []graph.Position // bound positions in binding order
-	vals   []graph.ID       // their values
-	frames []fframe
-	lo, hi int // current range; valid when len(prefix) > 0
+	prefix [3]graph.Position // bound positions in binding order
+	bound  int               // number of them
+	frames [3]fframe
+	lo, hi int
 }
 
 type fframe struct {
 	lo, hi int
 }
 
-// order returns the trie matching the current prefix plus an optional next
-// position.
-func (it *patternIter) order(next ...graph.Position) []graph.Triple {
-	return it.idx.orders[permIndex(append(append([]graph.Position{}, it.prefix...), next...))]
+// order returns the trie whose levels start with the bound prefix followed
+// by next. Only the first two levels pick the order: after them the third
+// is whatever position is left.
+func (it *patternIter) order(next graph.Position) []graph.Triple {
+	switch it.bound {
+	case 0:
+		return it.idx.orders[2*int(next)]
+	case 1:
+		return it.idx.orders[byPrefix[it.prefix[0]][next]]
+	default:
+		return it.idx.orders[byPrefix[it.prefix[0]][it.prefix[1]]]
+	}
 }
 
-// searchRange finds, within arr[lo,hi) sorted by pos at the current level,
-// the subrange whose level-k coordinate equals c.
+// searchLevel finds, within arr[lo,hi) sorted by pos at the current level,
+// the subrange whose coordinate at pos equals c.
 func searchLevel(arr []graph.Triple, lo, hi int, pos graph.Position, c graph.ID) (int, int) {
 	first := lo + sort.Search(hi-lo, func(i int) bool { return coord(arr[lo+i], pos) >= c })
 	last := lo + sort.Search(hi-lo, func(i int) bool { return coord(arr[lo+i], pos) > c })
 	return first, last
 }
 
-func (it *patternIter) Count() int {
-	if len(it.prefix) == 0 {
-		return it.idx.n
-	}
-	return it.hi - it.lo
-}
+func (it *patternIter) Count() int { return it.hi - it.lo }
 
-func (it *patternIter) Empty() bool { return it.Count() == 0 }
+func (it *patternIter) Empty() bool { return it.hi == it.lo }
 
 func (it *patternIter) Leap(pos graph.Position, c graph.ID) (graph.ID, bool) {
-	arr := it.order(pos)
-	lo, hi := it.lo, it.hi
-	if len(it.prefix) == 0 {
-		lo, hi = 0, len(arr)
-	}
-	if lo >= hi {
-		return 0, false
-	}
+	arr, lo, hi := it.order(pos), it.lo, it.hi
 	// Values at the next level are sorted within the range: binary search c.
 	i := lo + sort.Search(hi-lo, func(i int) bool { return coord(arr[lo+i], pos) >= c })
 	if i >= hi {
@@ -162,32 +304,25 @@ func (it *patternIter) Leap(pos graph.Position, c graph.ID) (graph.ID, bool) {
 }
 
 func (it *patternIter) Bind(pos graph.Position, c graph.ID) {
-	it.frames = append(it.frames, fframe{it.lo, it.hi})
-	arr := it.order(pos)
-	lo, hi := it.lo, it.hi
-	if len(it.prefix) == 0 {
-		lo, hi = 0, len(arr)
-	}
-	it.lo, it.hi = searchLevel(arr, lo, hi, pos, c)
-	it.prefix = append(it.prefix, pos)
-	it.vals = append(it.vals, c)
+	it.frames[it.bound] = fframe{it.lo, it.hi}
+	it.lo, it.hi = searchLevel(it.order(pos), it.lo, it.hi, pos, c)
+	it.prefix[it.bound] = pos
+	it.bound++
 }
 
 func (it *patternIter) Unbind() {
-	if len(it.prefix) == 0 {
+	if it.bound == 0 {
 		panic("flattrie: Unbind with no bindings")
 	}
-	f := it.frames[len(it.frames)-1]
-	it.frames = it.frames[:len(it.frames)-1]
+	it.bound--
+	f := it.frames[it.bound]
 	it.lo, it.hi = f.lo, f.hi
-	it.prefix = it.prefix[:len(it.prefix)-1]
-	it.vals = it.vals[:len(it.vals)-1]
 }
 
 // CanEnumerate: a flat trie can enumerate any unbound position (there is
 // always an order listing it right after the bound prefix).
 func (it *patternIter) CanEnumerate(pos graph.Position) bool {
-	for _, p := range it.prefix {
+	for _, p := range it.prefix[:it.bound] {
 		if p == pos {
 			return false
 		}
@@ -196,11 +331,7 @@ func (it *patternIter) CanEnumerate(pos graph.Position) bool {
 }
 
 func (it *patternIter) Enumerate(pos graph.Position, visit func(graph.ID) bool) {
-	arr := it.order(pos)
-	lo, hi := it.lo, it.hi
-	if len(it.prefix) == 0 {
-		lo, hi = 0, len(arr)
-	}
+	arr, lo, hi := it.order(pos), it.lo, it.hi
 	for lo < hi {
 		c := coord(arr[lo], pos)
 		if !visit(c) {

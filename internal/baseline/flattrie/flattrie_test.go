@@ -2,6 +2,7 @@ package flattrie
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -104,3 +105,96 @@ func TestCannotEnumerateBoundPosition(t *testing.T) {
 		t.Error("claimed to enumerate a bound position")
 	}
 }
+
+// randomTriples draws n triples with subjects and objects below numSO and
+// predicates below numP; small ranges make duplicates likely.
+func randomTriples(rng *rand.Rand, n int, numSO, numP int) []graph.Triple {
+	ts := make([]graph.Triple, n)
+	for i := range ts {
+		ts[i] = graph.Triple{S: graph.ID(rng.Intn(numSO)), P: graph.ID(rng.Intn(numP)), O: graph.ID(rng.Intn(numSO))}
+	}
+	return ts
+}
+
+// TestFromTriplesEqualsNew covers each branch of the single-coordinate
+// sort: a comparison sort (values spread wide against the input size), one
+// counting pass, and two 16-bit passes (a span above 2^16 but within four
+// buckets per triple). Inputs carry duplicates, which must be dropped.
+func TestFromTriplesEqualsNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for _, c := range []struct{ n, numSO, numP int }{
+		{0, 1, 1}, {1, 1, 1}, {200, 20, 3}, {300, 1 << 20, 40}, {5000, 3000, 16}, {20000, 70000, 5},
+	} {
+		ts := randomTriples(rng, c.n, c.numSO, c.numP)
+		ts = append(ts, ts[:c.n/10]...) // duplicates, out of order
+		got, want := FromTriples(ts), New(graph.New(ts))
+		if !got.Equal(want) {
+			t.Fatalf("n=%d numSO=%d: FromTriples differs from New over the same triples", c.n, c.numSO)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("n=%d: Len %d, want %d", c.n, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestMergeAndWithoutEqualRebuild checks the copy-on-write updates against
+// a fresh build over the same triple set, and that they leave their
+// receivers as they were.
+func TestMergeAndWithoutEqualRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	set := map[graph.Triple]bool{}
+	idx := FromTriples(nil)
+	for step := 0; step < 200; step++ {
+		prev, before := idx, New(graph.New(idx.Triples()))
+		if rng.Intn(3) > 0 {
+			batch := randomTriples(rng, 1+rng.Intn(40), 25, 4)
+			idx = idx.Merge(FromTriples(batch))
+			for _, tr := range batch {
+				set[tr] = true
+			}
+		} else {
+			var drop []graph.Triple
+			for tr := range set {
+				if len(drop) >= 1+rng.Intn(5) {
+					break
+				}
+				drop = append(drop, tr, tr) // a repeat must be harmless
+				delete(set, tr)
+			}
+			drop = append(drop, graph.Triple{S: 99, P: 99, O: 99}) // absent
+			idx = idx.Without(drop)
+		}
+		if !prev.Equal(before) {
+			t.Fatalf("step %d: the update changed its receiver", step)
+		}
+		var want []graph.Triple
+		for tr := range set {
+			want = append(want, tr)
+		}
+		if !idx.Equal(New(graph.New(want))) {
+			t.Fatalf("step %d: maintained index differs from a rebuild over %d triples", step, len(want))
+		}
+		for tr := range set {
+			if !idx.Contains(tr) {
+				t.Fatalf("step %d: Contains(%v) = false for an indexed triple", step, tr)
+			}
+		}
+	}
+}
+
+// BenchmarkFromTriples sorts a write batch six ways: 250 triples (a live
+// writer's batch, the comparison branch of stableBy) and 50,000 (a bulk
+// load's chunk, the counting branch), over 100k subjects/objects and 16
+// predicates.
+func BenchmarkFromTriples(b *testing.B) {
+	for _, n := range []int{250, 50_000} {
+		ts := randomTriples(rand.New(rand.NewSource(56)), n, 100_000, 16)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkIdx = FromTriples(ts)
+			}
+		})
+	}
+}
+
+var sinkIdx *Index

@@ -7,11 +7,16 @@
 //
 // Concretely, a Store keeps
 //
-//   - a memtable of recent insertions, indexed on demand by the
-//     flat-trie structure (it is small, so the 6x space is negligible);
+//   - a memtable of recent insertions, held as a flat-trie index (six
+//     sorted copies; it is small, so the 6x space is negligible) that the
+//     writer keeps sorted: each batch is sorted six ways before the
+//     writer lock is taken and merged in under it, a delete rewrites the
+//     arrays without the triple, and every published snapshot carries the
+//     index ready to query;
 //   - a bounded list of static rings of geometrically growing size.
 //
-// When the memtable exceeds its threshold it is frozen into a new ring;
+// When the memtable exceeds its threshold it is frozen into a new ring
+// (its index serves the frozen chunk's reads until the ring lands);
 // when that would exceed the ring budget, the smallest rings are merged
 // (we rebuild from the union — the paper points at BWT-merging
 // algorithms as the optimised alternative). Queries run the ordinary LTJ
@@ -70,25 +75,27 @@ type Options struct {
 	OnCompact func()
 }
 
+// empty is the index of an empty memtable; indexes are immutable, so all
+// stores share it.
+var empty = flattrie.FromTriples(nil)
+
 // Store is a dynamic triple store backed by static rings.
 type Store struct {
 	opt Options
 
-	// Writer state, guarded by mu. mem is append-only between flushes
-	// (deletions rewrite it into a fresh slice), so published snapshots
-	// can alias it without copying.
-	mu        sync.Mutex
-	cond      *sync.Cond                // broadcast when frozen drains or rings change
-	mem       []graph.Triple            //ringlint:guarded-by mu
-	memSet    map[graph.Triple]struct{} //ringlint:guarded-by mu
-	frozen    []graph.Triple            // memtable chunk being flushed (nil when idle) //ringlint:guarded-by mu
-	frozenSet map[graph.Triple]struct{} //ringlint:guarded-by mu
-	rings     []*ring.Ring              // oldest first //ringlint:guarded-by mu
-	numSO     graph.ID                  //ringlint:guarded-by mu
-	numP      graph.ID                  //ringlint:guarded-by mu
-	n         int                       //ringlint:guarded-by mu
-	gen       uint64                    //ringlint:guarded-by mu
-	closed    bool                      //ringlint:guarded-by mu
+	// Writer state, guarded by mu. The memtable indexes are immutable
+	// values the writer replaces (flattrie.Index is copy-on-write), so
+	// published snapshots share them without copying.
+	mu     sync.Mutex
+	cond   *sync.Cond      // broadcast when frozen drains or rings change
+	mem    *flattrie.Index //ringlint:guarded-by mu
+	frozen *flattrie.Index // memtable chunk being flushed (empty when idle) //ringlint:guarded-by mu
+	rings  []*ring.Ring    // oldest first //ringlint:guarded-by mu
+	numSO  graph.ID        //ringlint:guarded-by mu
+	numP   graph.ID        //ringlint:guarded-by mu
+	n      int             //ringlint:guarded-by mu
+	gen    uint64          //ringlint:guarded-by mu
+	closed bool            //ringlint:guarded-by mu
 
 	compactions atomic.Uint64
 
@@ -107,7 +114,7 @@ func New(opt Options) *Store {
 	if opt.MaxRings <= 0 {
 		opt.MaxRings = 4
 	}
-	s := &Store{opt: opt, memSet: map[graph.Triple]struct{}{}}
+	s := &Store{opt: opt, mem: empty, frozen: empty}
 	s.cond = sync.NewCond(&s.mu)
 	s.publishLocked()
 	if opt.Background {
@@ -194,8 +201,7 @@ func (s *Store) Rings() int { return len(s.Snapshot().rings) }
 // MemtableLen returns the number of buffered triples (including a chunk
 // frozen for an in-flight background flush).
 func (s *Store) MemtableLen() int {
-	v := s.Snapshot()
-	return len(v.mem) + len(v.frozen)
+	return s.Snapshot().MemtableLen()
 }
 
 // Domains returns the current identifier-space sizes.
@@ -212,10 +218,7 @@ func (s *Store) Contains(t graph.Triple) bool {
 }
 
 func (s *Store) containsLocked(t graph.Triple) bool {
-	if _, ok := s.memSet[t]; ok {
-		return true
-	}
-	if _, ok := s.frozenSet[t]; ok {
+	if s.mem.Contains(t) || s.frozen.Contains(t) {
 		return true
 	}
 	for _, r := range s.rings {
@@ -231,28 +234,33 @@ func ringContains(r *ring.Ring, t graph.Triple) bool {
 	return !ps.Empty()
 }
 
-// Add inserts a triple; duplicates are ignored. Insertion cost is O(1)
-// amortised until a flush, which costs one ring construction (off the
+// Add inserts a triple; duplicates are ignored. Insertion copies the
+// memtable index once; a flush costs one ring construction (off the
 // writer path with Options.Background).
 func (s *Store) Add(t graph.Triple) {
 	s.AddBatch([]graph.Triple{t})
 }
 
 // AddBatch inserts many triples under one lock acquisition and publishes
-// one new epoch — the preferred write path for ingestion layers.
+// one new epoch — the preferred write path for ingestion layers. The batch
+// is sorted six ways before the lock is taken; under it, the triples the
+// store already holds are dropped and the rest merged into the memtable
+// index, which costs one copy of the memtable.
 func (s *Store) AddBatch(ts []graph.Triple) {
+	b := flattrie.FromTriples(ts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.checkOpenLocked()
-	added := false
-	for _, t := range ts {
+	var dups []graph.Triple
+	for _, t := range b.Triples() {
 		if s.containsLocked(t) {
-			continue
+			dups = append(dups, t)
 		}
-		s.mem = append(s.mem, t)
-		s.memSet[t] = struct{}{}
-		s.n++
-		added = true
+	}
+	b = b.Without(dups)
+	s.mem = s.mem.Merge(b)
+	s.n += b.Len()
+	for _, t := range b.Triples() {
 		if t.S >= s.numSO {
 			s.numSO = t.S + 1
 		}
@@ -263,7 +271,7 @@ func (s *Store) AddBatch(ts []graph.Triple) {
 			s.numP = t.P + 1
 		}
 	}
-	if added {
+	if b.Len() > 0 {
 		s.publishLocked()
 	}
 	s.maybeFlushLocked()
@@ -278,16 +286,8 @@ func (s *Store) Delete(t graph.Triple) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.checkOpenLocked()
-	if _, ok := s.memSet[t]; ok {
-		delete(s.memSet, t)
-		// Copy-on-write: readers may alias the published slice.
-		kept := make([]graph.Triple, 0, len(s.mem)-1)
-		for _, m := range s.mem {
-			if m != t {
-				kept = append(kept, m)
-			}
-		}
-		s.mem = kept
+	if s.mem.Contains(t) {
+		s.mem = s.mem.Without([]graph.Triple{t})
 		s.n--
 		s.publishLocked()
 		return true
@@ -295,10 +295,7 @@ func (s *Store) Delete(t graph.Triple) bool {
 	// The frozen chunk is immutable while the compactor builds its ring;
 	// wait for it to land as a ring, then delete through the ring path
 	// (with a single writer the triple cannot move anywhere else).
-	for {
-		if _, ok := s.frozenSet[t]; !ok {
-			break
-		}
+	for s.frozen.Contains(t) {
 		s.cond.Wait()
 	}
 	for i, r := range s.rings {
@@ -337,7 +334,7 @@ func (s *Store) checkOpenLocked() {
 func (s *Store) publishLocked() {
 	s.gen++
 	s.view.Store(&Snapshot{
-		mem:    s.mem[:len(s.mem):len(s.mem)],
+		mem:    s.mem,
 		frozen: s.frozen,
 		rings:  s.rings[:len(s.rings):len(s.rings)],
 		numSO:  s.numSO,
@@ -351,7 +348,7 @@ func (s *Store) publishLocked() {
 // threshold: inline for synchronous stores, by signalling the compactor —
 // and applying backpressure at twice the threshold — for background ones.
 func (s *Store) maybeFlushLocked() {
-	if len(s.mem) < s.opt.MemtableThreshold {
+	if s.mem.Len() < s.opt.MemtableThreshold {
 		return
 	}
 	if !s.opt.Background {
@@ -368,7 +365,7 @@ func (s *Store) maybeFlushLocked() {
 	}
 	// Backpressure: the previous freeze has not compacted yet and the new
 	// memtable is full again — wait for the compactor to catch up.
-	for len(s.mem) >= 2*s.opt.MemtableThreshold && !s.closed {
+	for s.mem.Len() >= 2*s.opt.MemtableThreshold && !s.closed {
 		s.cond.Wait()
 	}
 }
@@ -380,12 +377,10 @@ func (s *Store) maybeFlushLocked() {
 func (s *Store) FlushNow() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.frozen != nil {
+	for s.frozen.Len() > 0 {
 		s.cond.Wait()
 	}
-	if len(s.mem) > 0 {
-		s.flushLocked()
-	}
+	s.flushLocked()
 	for len(s.rings) > s.opt.MaxRings {
 		s.mergeSmallestLocked()
 	}
@@ -394,13 +389,12 @@ func (s *Store) FlushNow() {
 
 // flushLocked freezes the memtable into a static ring inline. mu held.
 func (s *Store) flushLocked() {
-	if len(s.mem) == 0 {
+	if s.mem.Len() == 0 {
 		return
 	}
-	g := graph.NewWithDomains(s.mem, s.numSO, s.numP)
+	g := graph.NewWithDomains(s.mem.Triples(), s.numSO, s.numP)
 	s.rings = append(s.rings[:len(s.rings):len(s.rings)], ring.New(g, s.opt.Ring))
-	s.mem = nil
-	s.memSet = map[graph.Triple]struct{}{}
+	s.mem = empty
 }
 
 // Compact merges everything — memtable and all rings — into one ring.
@@ -408,12 +402,11 @@ func (s *Store) Compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.checkOpenLocked()
-	for s.frozen != nil {
+	for s.frozen.Len() > 0 {
 		s.cond.Wait()
 	}
 	all := s.allTriplesLocked()
-	s.mem = nil
-	s.memSet = map[graph.Triple]struct{}{}
+	s.mem = empty
 	s.rings = nil
 	if len(all) > 0 {
 		g := graph.NewWithDomains(all, s.numSO, s.numP)
@@ -479,22 +472,12 @@ func (s *Store) compactOnce() {
 	s.mu.Lock()
 	for !s.closed {
 		switch {
-		case len(s.mem) >= s.opt.MemtableThreshold:
-			s.frozen = s.mem
-			s.frozenSet = s.memSet
-			s.mem = nil
-			s.memSet = map[graph.Triple]struct{}{}
-			frozen, numSO, numP := s.frozen, s.numSO, s.numP
-			s.publishLocked()
-			s.cond.Broadcast() // writers blocked on backpressure may resume
+		case s.mem.Len() >= s.opt.MemtableThreshold:
+			frozen, numSO, numP := s.freezeLocked()
 			s.mu.Unlock()
-			r := ring.New(graph.NewWithDomains(frozen, numSO, numP), s.opt.Ring)
+			r := ring.New(graph.NewWithDomains(frozen.Triples(), numSO, numP), s.opt.Ring)
 			s.mu.Lock()
-			s.rings = append(s.rings[:len(s.rings):len(s.rings)], r)
-			s.frozen, s.frozenSet = nil, nil
-			s.compactions.Add(1)
-			s.publishLocked()
-			s.cond.Broadcast()
+			s.landFrozenLocked(r)
 			worked = true
 		case len(s.rings) > s.opt.MaxRings:
 			ai, bi := s.smallestPairLocked()
@@ -536,6 +519,26 @@ func (s *Store) compactOnce() {
 	}
 }
 
+// freezeLocked hands the memtable index over as the frozen chunk's and
+// starts an empty memtable; it returns what the ring construction needs.
+// mu must be held and no chunk may be frozen already.
+func (s *Store) freezeLocked() (frozen *flattrie.Index, numSO, numP graph.ID) {
+	s.frozen, s.mem = s.mem, empty
+	s.publishLocked()
+	s.cond.Broadcast() // writers blocked on backpressure may resume
+	return s.frozen, s.numSO, s.numP
+}
+
+// landFrozenLocked installs r, the ring built from the frozen chunk, in
+// the chunk's place. mu must be held.
+func (s *Store) landFrozenLocked(r *ring.Ring) {
+	s.rings = append(s.rings[:len(s.rings):len(s.rings)], r)
+	s.frozen = empty
+	s.compactions.Add(1)
+	s.publishLocked()
+	s.cond.Broadcast()
+}
+
 // ReplaceRing swaps old for new in the ring list, by pointer identity.
 // The persistence layer uses it to substitute a freshly mapped on-disk
 // ring for its heap-built equivalent after a checkpoint: the contents
@@ -572,8 +575,8 @@ func (s *Store) ringIndexLocked(r *ring.Ring) int {
 // verification). mu must be held.
 func (s *Store) allTriplesLocked() []graph.Triple {
 	var out []graph.Triple
-	out = append(out, s.frozen...)
-	out = append(out, s.mem...)
+	out = append(out, s.frozen.Triples()...)
+	out = append(out, s.mem.Triples()...)
 	for _, r := range s.rings {
 		out = append(out, r.Triples()...)
 	}
@@ -611,21 +614,18 @@ func (s *Store) Check() error {
 	return nil
 }
 
-// Snapshot is one immutable epoch of a Store: the memtable contents (plus
-// any chunk frozen for an in-flight flush) and the ring list as of one
-// publish. Any number of goroutines may query a snapshot concurrently;
+// Snapshot is one immutable epoch of a Store: the memtable index (plus
+// that of any chunk frozen for an in-flight flush) and the ring list as of
+// one publish. Any number of goroutines may query a snapshot concurrently;
 // it never changes once obtained.
 type Snapshot struct {
-	mem    []graph.Triple
-	frozen []graph.Triple
+	mem    *flattrie.Index
+	frozen *flattrie.Index
 	rings  []*ring.Ring
 	numSO  graph.ID
 	numP   graph.ID
 	n      int
 	gen    uint64
-
-	memOnce sync.Once
-	memIdx  *flattrie.Index
 }
 
 // Generation returns the epoch number of this snapshot.
@@ -642,28 +642,30 @@ func (v *Snapshot) Rings() []*ring.Ring { return v.rings }
 func (v *Snapshot) Domains() (numSO, numP graph.ID) { return v.numSO, v.numP }
 
 // MemtableLen returns the number of buffered (un-flushed) triples.
-func (v *Snapshot) MemtableLen() int { return len(v.mem) + len(v.frozen) }
+func (v *Snapshot) MemtableLen() int { return v.mem.Len() + v.frozen.Len() }
 
-// memIndex returns the flat-trie index over the buffered triples, built
-// lazily once per epoch (concurrent readers share the build).
-func (v *Snapshot) memIndex() *flattrie.Index {
-	v.memOnce.Do(func() {
-		buf := make([]graph.Triple, 0, len(v.frozen)+len(v.mem))
-		buf = append(buf, v.frozen...)
-		buf = append(buf, v.mem...)
-		v.memIdx = flattrie.New(graph.NewWithDomains(buf, v.numSO, v.numP))
-	})
-	return v.memIdx
-}
-
-// NewPatternIter returns a union trie-iterator over this epoch.
+// NewPatternIter returns a union trie-iterator over the components of this
+// epoch that hold a triple matching tp. Binds only narrow a component's
+// range, so one empty at creation stays empty and is left out; a lone
+// component is returned as it is, so a snapshot of one ring hands LTJ the
+// ring's own iterator (and its batched lane).
 func (v *Snapshot) NewPatternIter(tp graph.TriplePattern) ltj.PatternIter {
 	var parts []ltj.PatternIter
-	if len(v.mem)+len(v.frozen) > 0 {
-		parts = append(parts, v.memIndex().NewPatternIter(tp))
+	add := func(it ltj.PatternIter) {
+		if !it.Empty() {
+			parts = append(parts, it)
+		}
+	}
+	for _, m := range [2]*flattrie.Index{v.frozen, v.mem} {
+		if m.Len() > 0 {
+			add(m.NewPatternIter(tp))
+		}
 	}
 	for _, r := range v.rings {
-		parts = append(parts, r.NewPatternState(tp))
+		add(r.NewPatternState(tp))
+	}
+	if len(parts) == 1 {
+		return parts[0]
 	}
 	return &unionIter{parts: parts}
 }
@@ -676,8 +678,8 @@ func (v *Snapshot) Evaluate(q graph.Pattern, opt ltj.Options) (*ltj.Result, erro
 // Triples materialises the epoch's full triple set.
 func (v *Snapshot) Triples() []graph.Triple {
 	var out []graph.Triple
-	out = append(out, v.frozen...)
-	out = append(out, v.mem...)
+	out = append(out, v.frozen.Triples()...)
+	out = append(out, v.mem.Triples()...)
 	for _, r := range v.rings {
 		out = append(out, r.Triples()...)
 	}
@@ -691,9 +693,11 @@ func (v *Snapshot) Graph() *graph.Graph {
 
 // SizeBytes returns the epoch's total footprint (rings + memtable index).
 func (v *Snapshot) SizeBytes() int {
-	total := 24*(len(v.mem)+len(v.frozen)) + 64
-	if v.memIdx != nil {
-		total += v.memIdx.SizeBytes()
+	total := 64
+	for _, m := range [2]*flattrie.Index{v.frozen, v.mem} {
+		if m.Len() > 0 {
+			total += m.SizeBytes()
+		}
 	}
 	for _, r := range v.rings {
 		total += r.SizeBytes()
@@ -753,46 +757,98 @@ func (u *unionIter) CanEnumerate(pos graph.Position) bool {
 	return true
 }
 
-// Enumerate merges the components' sorted enumerations, deduplicating.
+// Enumerate merges the components' sorted enumerations lazily,
+// deduplicating, and stops as soon as visit does. The largest non-empty
+// component enumerates natively; each other one contributes through Leap,
+// holding its next value until the merge reaches it. With one non-empty
+// component left the call is delegated to it.
 func (u *unionIter) Enumerate(pos graph.Position, visit func(graph.ID) bool) {
-	// Collect per-component sorted streams eagerly; components are few and
-	// streams are bounded by the range sizes.
-	var streams [][]graph.ID
-	for _, p := range u.parts {
-		if p.Empty() {
+	main := -1
+	for i, p := range u.parts {
+		if !p.Empty() && (main < 0 || p.Count() > u.parts[main].Count()) {
+			main = i
+		}
+	}
+	if main < 0 {
+		return
+	}
+	var heads []leapHead
+	for i, p := range u.parts {
+		if i == main || p.Empty() {
 			continue
 		}
-		var vals []graph.ID
-		p.Enumerate(pos, func(c graph.ID) bool {
-			vals = append(vals, c)
-			return true
-		})
-		streams = append(streams, vals)
+		if v, ok := p.Leap(pos, 0); ok {
+			heads = append(heads, leapHead{p, v})
+		}
 	}
-	idx := make([]int, len(streams))
-	var last graph.ID
-	haveLast := false
-	for {
-		bestS := -1
-		var best graph.ID
-		for si, st := range streams {
-			if idx[si] >= len(st) {
+	if len(heads) == 0 {
+		u.parts[main].Enumerate(pos, visit)
+		return
+	}
+	stopped := false
+	u.parts[main].Enumerate(pos, func(v graph.ID) bool {
+		for {
+			m, ok := minHead(heads)
+			if !ok || m > v {
+				break
+			}
+			heads = advance(heads, pos, m)
+			if m < v && !visit(m) {
+				stopped = true
+				return false
+			}
+		}
+		if !visit(v) {
+			stopped = true
+			return false
+		}
+		return true
+	})
+	for !stopped {
+		m, ok := minHead(heads)
+		if !ok {
+			return
+		}
+		heads = advance(heads, pos, m)
+		stopped = !visit(m)
+	}
+}
+
+// leapHead is a component's next unmerged value in Enumerate.
+type leapHead struct {
+	it ltj.PatternIter
+	v  graph.ID
+}
+
+// minHead returns the smallest pending value, if any.
+func minHead(heads []leapHead) (graph.ID, bool) {
+	if len(heads) == 0 {
+		return 0, false
+	}
+	m := heads[0].v
+	for _, h := range heads[1:] {
+		m = min(m, h.v)
+	}
+	return m, true
+}
+
+// advance moves every head holding m to its component's next value,
+// dropping the components that have none.
+func advance(heads []leapHead, pos graph.Position, m graph.ID) []leapHead {
+	for i := 0; i < len(heads); {
+		h := &heads[i]
+		if h.v == m {
+			var ok bool
+			if m < graph.MaxID {
+				h.v, ok = h.it.Leap(pos, m+1)
+			}
+			if !ok {
+				heads[i] = heads[len(heads)-1]
+				heads = heads[:len(heads)-1]
 				continue
 			}
-			if bestS < 0 || st[idx[si]] < best {
-				bestS, best = si, st[idx[si]]
-			}
 		}
-		if bestS < 0 {
-			return
-		}
-		idx[bestS]++
-		if haveLast && best == last {
-			continue
-		}
-		last, haveLast = best, true
-		if !visit(best) {
-			return
-		}
+		i++
 	}
+	return heads
 }

@@ -2,8 +2,10 @@ package dynamic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/baseline/flattrie"
 	"repro/internal/graph"
 	"repro/internal/ltj"
 	"repro/internal/ring"
@@ -203,5 +205,222 @@ func TestManyFlushesKeepRingBudget(t *testing.T) {
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemtableIndexMaintained drives a seeded insert/delete/flush/freeze/
+// land/compact sequence and checks, after every step, that the snapshot's
+// memtable and frozen indexes equal fresh flat-trie builds over the
+// triples a model says they hold, and that queries agree with the naive
+// evaluator. Batches carry duplicates and re-insert deleted triples. A
+// freeze and its landing are the two halves of a background flush, run
+// here on the writer's goroutine so every intermediate state is checked.
+func TestMemtableIndexMaintained(t *testing.T) {
+	rng := rand.New(rand.NewSource(125))
+	s := New(Options{MemtableThreshold: 1 << 30, MaxRings: 3})
+	mem, frozen, rings := map[graph.Triple]bool{}, map[graph.Triple]bool{}, map[graph.Triple]bool{}
+	held := func(tr graph.Triple) bool { return mem[tr] || frozen[tr] || rings[tr] }
+	var deleted []graph.Triple
+	ran := map[string]int{}
+	index := func(set map[graph.Triple]bool) *flattrie.Index {
+		var ts []graph.Triple
+		for tr := range set {
+			ts = append(ts, tr)
+		}
+		return flattrie.New(graph.New(ts))
+	}
+	for step := 0; step < 300; step++ {
+		op := "insert"
+		switch r := rng.Intn(20); {
+		case r < 4:
+			op = "delete"
+		case r == 4:
+			op = "flush"
+		case r == 5:
+			op = "freeze"
+		case r == 6:
+			op = "land"
+		case r == 7:
+			op = "compact"
+		}
+		switch op {
+		case "insert":
+			var batch []graph.Triple
+			for i := rng.Intn(12); i >= 0; i-- {
+				tr := randomTriple(rng)
+				if len(deleted) > 0 && rng.Intn(4) == 0 {
+					tr = deleted[rng.Intn(len(deleted))]
+				}
+				batch = append(batch, tr, tr)
+			}
+			s.AddBatch(batch)
+			for _, tr := range batch {
+				if !held(tr) {
+					mem[tr] = true
+				}
+			}
+		case "delete":
+			// A synchronous store has no compactor to land a frozen
+			// chunk, so a delete that would wait for one is not issued.
+			tr := randomTriple(rng)
+			if frozen[tr] {
+				continue
+			}
+			if got := s.Delete(tr); got != (mem[tr] || rings[tr]) {
+				t.Fatalf("step %d: Delete(%v) = %v", step, tr, got)
+			}
+			if mem[tr] || rings[tr] {
+				deleted = append(deleted, tr)
+			}
+			delete(mem, tr)
+			delete(rings, tr)
+		case "flush", "compact":
+			if len(frozen) > 0 {
+				continue
+			}
+			if op == "flush" {
+				s.FlushNow()
+			} else {
+				s.Compact()
+			}
+			for tr := range mem {
+				rings[tr] = true
+			}
+			mem = map[graph.Triple]bool{}
+		case "freeze":
+			if len(frozen) > 0 || len(mem) == 0 {
+				continue
+			}
+			s.mu.Lock()
+			s.freezeLocked()
+			s.mu.Unlock()
+			frozen, mem = mem, map[graph.Triple]bool{}
+		case "land":
+			if len(frozen) == 0 {
+				continue
+			}
+			s.mu.Lock()
+			s.landFrozenLocked(ring.New(graph.NewWithDomains(s.frozen.Triples(), s.numSO, s.numP), s.opt.Ring))
+			s.mu.Unlock()
+			for tr := range frozen {
+				rings[tr] = true
+			}
+			frozen = map[graph.Triple]bool{}
+		}
+		ran[op]++
+
+		snap := s.Snapshot()
+		if !snap.mem.Equal(index(mem)) {
+			t.Fatalf("step %d (%s): memtable index differs from a rebuild over its %d triples", step, op, len(mem))
+		}
+		if !snap.frozen.Equal(index(frozen)) {
+			t.Fatalf("step %d (%s): frozen index differs from a rebuild over its %d triples", step, op, len(frozen))
+		}
+		if want := len(mem) + len(frozen) + len(rings); snap.Len() != want {
+			t.Fatalf("step %d (%s): Len = %d, want %d", step, op, snap.Len(), want)
+		}
+		var all []graph.Triple
+		for _, set := range []map[graph.Triple]bool{mem, frozen, rings} {
+			for tr := range set {
+				all = append(all, tr)
+			}
+		}
+		if len(all) == 0 {
+			continue
+		}
+		g := graph.New(all)
+		q := testutil.RandomPattern(rng, g, 1+rng.Intn(3), 1+rng.Intn(3), 0.4, false)
+		res, err := snap.Evaluate(q, ltj.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := testutil.SameSolutions(res.Solutions, g.Evaluate(q, 0), q.Vars()); diff != "" {
+			t.Fatalf("step %d (%s): query %v: %s", step, op, q, diff)
+		}
+	}
+	for _, op := range []string{"insert", "delete", "flush", "freeze", "land", "compact"} {
+		if ran[op] == 0 {
+			t.Errorf("the sequence never ran a %s", op)
+		}
+	}
+	t.Logf("steps run: %v", ran)
+}
+
+// TestTriangleOnCompactedStoreBatches runs a triangle over a live store
+// after Compact: every pattern then has one component, the ring, whose own
+// iterator reaches the engine, so the batched lane runs and the answers
+// equal the static ring's.
+func TestTriangleOnCompactedStoreBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(126))
+	g := testutil.RandomGraph(rng, 3000, 60, 2)
+	s := New(Options{MemtableThreshold: 256, MaxRings: 3})
+	ts := g.Triples()
+	for i := 0; i < len(ts); i += 100 {
+		s.AddBatch(ts[i:min(i+100, len(ts))])
+	}
+	s.Compact()
+	x, y, z := graph.Var("x"), graph.Var("y"), graph.Var("z")
+	q := graph.Pattern{
+		graph.TP(x, graph.Const(0), y),
+		graph.TP(y, graph.Const(0), z),
+		graph.TP(z, graph.Const(0), x),
+	}
+	if _, ok := s.NewPatternIter(q[0]).(*ring.PatternState); !ok {
+		t.Fatalf("a one-ring snapshot wraps the ring's iterator: %T", s.NewPatternIter(q[0]))
+	}
+	got, err := s.Evaluate(q, ltj.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := ring.New(g, ring.Options{})
+	want, err := ltj.Evaluate(ltj.IndexFunc(func(tp graph.TriplePattern) ltj.PatternIter {
+		return static.NewPatternState(tp)
+	}), q, ltj.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Solutions) == 0 {
+		t.Fatal("the graph has no triangle: the test checks nothing")
+	}
+	if diff := testutil.SameSolutions(got.Solutions, want.Solutions, q.Vars()); diff != "" {
+		t.Fatal(diff)
+	}
+	if got.Stats.BatchDescents == 0 {
+		t.Fatalf("no batched descents on a compacted store: %+v", got.Stats)
+	}
+}
+
+// TestUnionEnumerateMergesLazily enumerates a position held by a
+// memtable and two rings: the union visits each value once, in order, and
+// stops at the first value visit declines.
+func TestUnionEnumerateMergesLazily(t *testing.T) {
+	s := New(Options{MemtableThreshold: 4, MaxRings: 4})
+	s.AddBatch([]graph.Triple{{S: 1, P: 0, O: 2}, {S: 1, P: 0, O: 5}, {S: 1, P: 0, O: 9}, {S: 1, P: 0, O: 11}})
+	s.AddBatch([]graph.Triple{{S: 1, P: 0, O: 3}, {S: 1, P: 0, O: 4}, {S: 1, P: 0, O: 7}, {S: 1, P: 0, O: 12}})
+	s.AddBatch([]graph.Triple{{S: 1, P: 0, O: 1}, {S: 1, P: 0, O: 6}, {S: 2, P: 0, O: 9}})
+	if s.Rings() != 2 || s.MemtableLen() != 3 {
+		t.Fatalf("want 2 rings and 3 buffered triples, have %d and %d", s.Rings(), s.MemtableLen())
+	}
+	it := s.NewPatternIter(graph.TP(graph.Const(1), graph.Const(0), graph.Var("o")))
+	if _, ok := it.(*unionIter); !ok {
+		t.Fatalf("three non-empty components should form a union, got %T", it)
+	}
+	var all []graph.ID
+	it.Enumerate(graph.PosO, func(c graph.ID) bool {
+		all = append(all, c)
+		return true
+	})
+	if want := []graph.ID{1, 2, 3, 4, 5, 6, 7, 9, 11, 12}; !slices.Equal(all, want) {
+		t.Fatalf("enumerated %v, want %v", all, want)
+	}
+	for k := 1; k <= len(all); k++ {
+		var got []graph.ID
+		it.Enumerate(graph.PosO, func(c graph.ID) bool {
+			got = append(got, c)
+			return len(got) < k
+		})
+		if !slices.Equal(got, all[:k]) {
+			t.Fatalf("stopping after %d values visited %v", k, got)
+		}
 	}
 }

@@ -79,12 +79,19 @@ func (s Select) Rows(idx ltj.Index) (Rows, error) {
 	if err != nil {
 		return Rows{}, err
 	}
+	return s.CheckedRows(idx, project)
+}
+
+// CheckedRows is Rows for a query Check has accepted, given the
+// projection Check returned; a server that checks before admission does
+// not check again.
+func (s Select) CheckedRows(idx ltj.Index, project []string) (Rows, error) {
 	rows := Rows{Vars: project}
 	skip := 0
 	if len(s.OrderBy) == 0 {
 		skip = s.Offset
 	}
-	err = s.forEach(idx, project, func(row []graph.ID) bool {
+	err := s.forEach(idx, project, func(row []graph.ID) bool {
 		if skip > 0 {
 			skip--
 			return true
@@ -152,7 +159,7 @@ func (s Select) Run(idx ltj.Index) ([]graph.Binding, error) {
 
 // Check validates the clause variables and resolves the effective
 // projection list. Rows runs it first; a server runs it before admission
-// so that a typo comes back as a client error.
+// so that a typo comes back as a client error, then calls CheckedRows.
 func (s Select) Check() ([]string, error) {
 	vars := s.Pattern.Vars()
 	varSet := map[string]bool{}

@@ -513,7 +513,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Parallelism: s.cfg.Parallelism,
 	}
 	// Projection and order-by typos come back as 400s, not 500s.
-	if _, err := sel.Check(); err != nil {
+	project, err := sel.Check()
+	if err != nil {
 		s.badQuery(w, err.Error())
 		return
 	}
@@ -558,7 +559,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// One iterator source per evaluation: in live mode this pins an epoch
 	// snapshot, so a concurrent flush or merge cannot tear the view.
 	iters := idx.PatternIters()
-	rows, err := sel.Rows(ltj.IndexFunc(iters))
+	rows, err := sel.CheckedRows(ltj.IndexFunc(iters), project)
 	elapsed := time.Since(start)
 	s.met.ltjLeaps.add(int64(st.Leaps))
 	s.met.ltjBinds.add(int64(st.Binds))
