@@ -27,7 +27,10 @@ func TestTreeSortedAndComplete(t *testing.T) {
 	for i := range got {
 		got[i] = tr.TripleAt(i)
 	}
-	graph.SortSPO(got)
+	got = graph.SortedSPO(got)
+	if len(got) != g.Len() {
+		t.Fatalf("%d distinct triples, want %d", len(got), g.Len())
+	}
 	want := g.Triples()
 	for i := range want {
 		if got[i] != want[i] {

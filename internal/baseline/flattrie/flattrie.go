@@ -63,92 +63,30 @@ func New(g *graph.Graph) *Index {
 
 // FromTriples builds the six flat tries of a set of triples given in any
 // order; duplicates are dropped. It costs a few linear passes per order on
-// large inputs (see stableBy).
+// large inputs (see graph.SortBy).
 func FromTriples(ts []graph.Triple) *Index {
-	spo := stableBy(stableBy(stableBy(ts, graph.PosO), graph.PosP), graph.PosS)
-	return fromSPO(slices.Compact(spo))
+	return fromSPO(graph.SortedSPO(ts))
 }
 
 // fromSPO derives the other five orders from the duplicate-free SPO order.
 // A stable sort on one coordinate x of an array sorted by (y, z) leaves it
-// sorted by (x, y, z), so each order costs one single-coordinate pass over
-// an order already built.
+// sorted by (x, y, z), so each order costs one single-coordinate pass
+// (graph.SortBy) over a copy of an order already built.
 func fromSPO(spo []graph.Triple) *Index {
 	idx := &Index{}
 	idx.orders[0] = spo
-	idx.orders[4] = stableBy(spo, graph.PosO)           // OSP
-	idx.orders[3] = stableBy(idx.orders[4], graph.PosP) // POS
-	idx.orders[2] = stableBy(spo, graph.PosP)           // PSO
-	idx.orders[5] = stableBy(idx.orders[2], graph.PosO) // OPS
-	idx.orders[1] = stableBy(idx.orders[5], graph.PosS) // SOP
+	spare := make([]graph.Triple, len(spo))
+	derive := func(src []graph.Triple, pos graph.Position) []graph.Triple {
+		var sorted []graph.Triple
+		sorted, spare = graph.SortBy(slices.Clone(src), spare, pos)
+		return sorted
+	}
+	idx.orders[4] = derive(spo, graph.PosO)           // OSP
+	idx.orders[3] = derive(idx.orders[4], graph.PosP) // POS
+	idx.orders[2] = derive(spo, graph.PosP)           // PSO
+	idx.orders[5] = derive(idx.orders[2], graph.PosO) // OPS
+	idx.orders[1] = derive(idx.orders[5], graph.PosS) // SOP
 	return idx
-}
-
-// stableBy returns a copy of src stably sorted by the coordinate at pos.
-// It counting-sorts in 16-bit digits of the value's offset from the
-// smallest one, unless the offsets span more than four buckets per
-// triple, where clearing and summing the buckets would cost more than
-// sorting (value, input position) keys does.
-func stableBy(src []graph.Triple, pos graph.Position) []graph.Triple {
-	dst := make([]graph.Triple, len(src))
-	if len(src) == 0 {
-		return dst
-	}
-	lo, hi := coord(src[0], pos), coord(src[0], pos)
-	for _, t := range src[1:] {
-		v := coord(t, pos)
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	span := uint64(hi-lo) + 1
-	if span > 4*uint64(len(src)) {
-		keys := make([]uint64, len(src))
-		for i, t := range src {
-			keys[i] = uint64(coord(t, pos))<<32 | uint64(i)
-		}
-		slices.Sort(keys)
-		for j, k := range keys {
-			dst[j] = src[uint32(k)]
-		}
-		return dst
-	}
-	if span <= 1<<16 {
-		countingPass(dst, src, pos, lo, 0, int(span))
-		return dst
-	}
-	tmp := make([]graph.Triple, len(src))
-	countingPass(tmp, src, pos, lo, 0, 1<<16)
-	countingPass(dst, tmp, pos, lo, 16, int(span>>16)+1)
-	return dst
-}
-
-// countingPass stably scatters src into dst by the 16-bit digit
-// ((coord - lo) >> shift) & 0xffff, which takes values below buckets.
-func countingPass(dst, src []graph.Triple, pos graph.Position, lo graph.ID, shift uint, buckets int) {
-	at := make([]int, buckets)
-	for _, t := range src {
-		at[((coord(t, pos)-lo)>>shift)&0xffff]++
-	}
-	sum := 0
-	for d, c := range at {
-		at[d] = sum
-		sum += c
-	}
-	for _, t := range src {
-		d := ((coord(t, pos) - lo) >> shift) & 0xffff
-		dst[at[d]] = t
-		at[d]++
-	}
-}
-
-func coord(t graph.Triple, pos graph.Position) graph.ID {
-	switch pos {
-	case graph.PosS:
-		return t.S
-	case graph.PosP:
-		return t.P
-	default:
-		return t.O
-	}
 }
 
 // SizeBytes returns the memory footprint: six triple arrays.
@@ -284,8 +222,8 @@ func (it *patternIter) order(next graph.Position) []graph.Triple {
 // searchLevel finds, within arr[lo,hi) sorted by pos at the current level,
 // the subrange whose coordinate at pos equals c.
 func searchLevel(arr []graph.Triple, lo, hi int, pos graph.Position, c graph.ID) (int, int) {
-	first := lo + sort.Search(hi-lo, func(i int) bool { return coord(arr[lo+i], pos) >= c })
-	last := lo + sort.Search(hi-lo, func(i int) bool { return coord(arr[lo+i], pos) > c })
+	first := lo + sort.Search(hi-lo, func(i int) bool { return arr[lo+i].At(pos) >= c })
+	last := lo + sort.Search(hi-lo, func(i int) bool { return arr[lo+i].At(pos) > c })
 	return first, last
 }
 
@@ -296,11 +234,11 @@ func (it *patternIter) Empty() bool { return it.hi == it.lo }
 func (it *patternIter) Leap(pos graph.Position, c graph.ID) (graph.ID, bool) {
 	arr, lo, hi := it.order(pos), it.lo, it.hi
 	// Values at the next level are sorted within the range: binary search c.
-	i := lo + sort.Search(hi-lo, func(i int) bool { return coord(arr[lo+i], pos) >= c })
+	i := lo + sort.Search(hi-lo, func(i int) bool { return arr[lo+i].At(pos) >= c })
 	if i >= hi {
 		return 0, false
 	}
-	return coord(arr[i], pos), true
+	return arr[i].At(pos), true
 }
 
 func (it *patternIter) Bind(pos graph.Position, c graph.ID) {
@@ -333,11 +271,11 @@ func (it *patternIter) CanEnumerate(pos graph.Position) bool {
 func (it *patternIter) Enumerate(pos graph.Position, visit func(graph.ID) bool) {
 	arr, lo, hi := it.order(pos), it.lo, it.hi
 	for lo < hi {
-		c := coord(arr[lo], pos)
+		c := arr[lo].At(pos)
 		if !visit(c) {
 			return
 		}
 		// Skip to the first triple with a larger coordinate.
-		lo += sort.Search(hi-lo, func(i int) bool { return coord(arr[lo+i], pos) > c })
+		lo += sort.Search(hi-lo, func(i int) bool { return arr[lo+i].At(pos) > c })
 	}
 }

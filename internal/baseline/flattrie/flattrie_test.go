@@ -2,6 +2,7 @@ package flattrie
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -117,9 +118,11 @@ func randomTriples(rng *rand.Rand, n int, numSO, numP int) []graph.Triple {
 }
 
 // TestFromTriplesEqualsNew covers each branch of the single-coordinate
-// sort: a comparison sort (values spread wide against the input size), one
-// counting pass, and two 16-bit passes (a span above 2^16 but within four
-// buckets per triple). Inputs carry duplicates, which must be dropped.
+// sort (graph.SortBy): a key sort (values spread wide against the input
+// size), one counting pass, and two 16-bit passes (a span above 2^16 but
+// within four buckets per triple). Inputs carry duplicates, which must be
+// dropped, and each of the six orders must equal a comparison sort of the
+// distinct triples.
 func TestFromTriplesEqualsNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for _, c := range []struct{ n, numSO, numP int }{
@@ -131,8 +134,15 @@ func TestFromTriplesEqualsNew(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("n=%d numSO=%d: FromTriples differs from New over the same triples", c.n, c.numSO)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("n=%d: Len %d, want %d", c.n, got.Len(), want.Len())
+		distinct := slices.Clone(ts)
+		slices.SortFunc(distinct, cmps[0])
+		distinct = slices.Compact(distinct)
+		for i, cmp := range cmps {
+			order := slices.Clone(distinct)
+			slices.SortFunc(order, cmp)
+			if !slices.Equal(got.orders[i], order) {
+				t.Fatalf("n=%d numSO=%d: order %d differs from a comparison sort", c.n, c.numSO, i)
+			}
 		}
 	}
 }
@@ -183,7 +193,7 @@ func TestMergeAndWithoutEqualRebuild(t *testing.T) {
 }
 
 // BenchmarkFromTriples sorts a write batch six ways: 250 triples (a live
-// writer's batch, the comparison branch of stableBy) and 50,000 (a bulk
+// writer's batch, the key-sort branch of graph.SortBy) and 50,000 (a bulk
 // load's chunk, the counting branch), over 100k subjects/objects and 16
 // predicates.
 func BenchmarkFromTriples(b *testing.B) {

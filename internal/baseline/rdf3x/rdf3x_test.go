@@ -23,7 +23,10 @@ func TestScanRangeRoundTrip(t *testing.T) {
 		if len(got) != g.Len() {
 			t.Fatalf("order %v: decompressed %d triples, want %d", o.perm, len(got), g.Len())
 		}
-		graph.SortSPO(got)
+		got = graph.SortedSPO(got)
+		if len(got) != g.Len() {
+			t.Fatalf("%d distinct triples, want %d", len(got), g.Len())
+		}
 		want := g.Triples()
 		for i := range want {
 			if got[i] != want[i] {

@@ -308,7 +308,7 @@ func (b *Builder) BuildPlain() *Plain {
 // BuildRRR finalizes the builder into an RRR-compressed vector with the
 // given block size (see NewRRR).
 func (b *Builder) BuildRRR(blockSize int) *RRR {
-	return rrrFromWords(b.words, b.n, blockSize)
+	return RRRFromWords(b.words, b.n, blockSize)
 }
 
 // --- serialization ---

@@ -187,7 +187,10 @@ func NewRRR(n, blockSize int, get func(i int) bool) *RRR {
 	return b.BuildRRR(blockSize)
 }
 
-func rrrFromWords(words []uint64, n, blockSize int) *RRR {
+// RRRFromWords builds an RRR vector with the given block size over the
+// first n bits of words, which must be zero past n. The words are read,
+// not retained.
+func RRRFromWords(words []uint64, n, blockSize int) *RRR {
 	if blockSize < 1 || blockSize > 64 {
 		panic(fmt.Sprintf("bitvector: RRR block size %d out of [1,64]", blockSize))
 	}

@@ -9,9 +9,7 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -28,6 +26,17 @@ const MaxID = ^ID(0)
 // Triple is a subject–predicate–object edge s --p--> o.
 type Triple struct {
 	S, P, O ID
+}
+
+// At returns the component of t at pos.
+func (t Triple) At(pos Position) ID {
+	switch pos {
+	case PosS:
+		return t.S
+	case PosP:
+		return t.P
+	}
+	return t.O
 }
 
 // Position identifies a component of a triple or triple pattern.
@@ -192,12 +201,10 @@ func New(triples []Triple) *Graph {
 }
 
 // NewWithDomains builds a graph whose ID spaces are at least [0, minSO) and
-// [0, minP).
+// [0, minP). It sorts a copy of triples with SortedSPO, so input already
+// sorted and duplicate-free is only copied.
 func NewWithDomains(triples []Triple, minSO, minP ID) *Graph {
-	ts := make([]Triple, len(triples))
-	copy(ts, triples)
-	SortSPO(ts)
-	ts = dedup(ts)
+	ts := SortedSPO(triples)
 	g := &Graph{triples: ts, numSO: minSO, numP: minP}
 	for _, t := range ts {
 		if t.S >= g.numSO {
@@ -211,32 +218,6 @@ func NewWithDomains(triples []Triple, minSO, minP ID) *Graph {
 		}
 	}
 	return g
-}
-
-func dedup(ts []Triple) []Triple {
-	if len(ts) == 0 {
-		return ts
-	}
-	out := ts[:1]
-	for _, t := range ts[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// SortSPO sorts triples by (subject, predicate, object).
-func SortSPO(ts []Triple) {
-	slices.SortFunc(ts, func(a, b Triple) int {
-		if c := cmp.Compare(a.S, b.S); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.P, b.P); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.O, b.O)
-	})
 }
 
 // Len returns the number of (distinct) triples.

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/graph"
@@ -44,5 +45,21 @@ func (ps *PatternState) debugCheckBatchLeap(pos graph.Position, c graph.ID, buf 
 func (ps *PatternState) debugCheckRange() {
 	if ps.lo < 0 || ps.hi < ps.lo || ps.hi > ps.r.n {
 		panic(fmt.Sprintf("ringdebug: ring: range [%d,%d) outside [0,%d] after Bind", ps.lo, ps.hi, ps.r.n))
+	}
+}
+
+// debugCheckRotation asserts that New derived zone z's rotation order
+// correctly: n triples, strictly increasing in the zone's cyclic key (the
+// graph's triples are distinct, so no two keys tie).
+func debugCheckRotation(z Zone, sorted []graph.Triple, n int) {
+	if len(sorted) != n {
+		panic(fmt.Sprintf("ringdebug: ring: zone %v rotation has %d triples, want %d", z, len(sorted), n))
+	}
+	p0, p1, p2 := z.Start(), z.Start().Next(), z.Start().Prev()
+	for i := 1; i < len(sorted); i++ {
+		a, b := sorted[i-1], sorted[i]
+		if cmp.Or(cmp.Compare(a.At(p0), b.At(p0)), cmp.Compare(a.At(p1), b.At(p1)), cmp.Compare(a.At(p2), b.At(p2))) >= 0 {
+			panic(fmt.Sprintf("ringdebug: ring: zone %v rotation not strictly sorted at %d: %v then %v", z, i, a, b))
+		}
 	}
 }

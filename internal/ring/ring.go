@@ -31,7 +31,6 @@
 package ring
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -99,75 +98,56 @@ type Ring struct {
 	opt   Options
 }
 
-// New builds the ring index of g. Construction sorts the triples three
-// ways and builds three wavelet matrices; the zones are independent, so
-// they are built concurrently (deterministic result — each zone depends
-// only on the input). It runs in O(n log n) time and O(n) words of
-// working space per zone.
+// New builds the ring index of g. The graph's triples are the SPO order;
+// the other two rotations are derived from it rather than sorted, since a
+// stable sort on one component of an array sorted by the rest yields the
+// next rotation: SPO stably sorted by O is OSP, and OSP stably sorted by
+// P is POS (graph.SortBy, one counting pass each). The SPO zone builds in
+// a second goroutine while this one runs the OSP → POS chain; each writes
+// only its own zones, so the result does not depend on scheduling. The
+// chain takes both columns out of the triple arrays before it builds
+// either wavelet matrix, so the arrays are garbage by then. It runs in
+// O(n log σ) time and O(n) words of working space per goroutine.
 func New(g *graph.Graph, opt Options) *Ring {
 	ts := g.Triples() // already sorted (s,p,o)
 	n := len(ts)
 	r := &Ring{n: n, numSO: g.NumSO(), numP: g.NumP(), opt: opt}
 
-	wopt := wavelet.Options{Compress: opt.Compress, RRRBlock: opt.RRRBlock}
+	// column returns zone z's BWT column, each rotation's last symbol,
+	// and sets the zone's C array, which counts their first symbols.
+	column := func(z Zone, sorted []graph.Triple) []graph.ID {
+		last := z.Start().Prev()
+		col := make([]graph.ID, len(sorted))
+		for i, t := range sorted {
+			col[i] = t.At(last)
+		}
+		r.c[z] = makeC(buildC(sorted, z.Start(), int(r.alphabetOf(z))), opt)
+		return col
+	}
+	matrix := func(z Zone, col []graph.ID) {
+		sigma := r.alphabetOf(ZoneOf(z.Start().Prev()))
+		r.cols[z] = wavelet.New(col, uint64(sigma), wavelet.Options{Compress: opt.Compress, RRRBlock: opt.RRRBlock})
+	}
 
 	var wg sync.WaitGroup
-	wg.Add(3)
-
-	// Zone SPO: triples sorted by (s,p,o); column = objects; C over subjects.
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		col := make([]uint64, n)
-		for i, t := range ts {
-			col[i] = uint64(t.O)
-		}
-		r.cols[ZoneSPO] = wavelet.New(col, uint64(r.numSO), wopt)
-		r.c[ZoneSPO] = makeC(buildC(ts, graph.PosS, int(r.numSO)), opt)
+		matrix(ZoneSPO, column(ZoneSPO, ts))
 	}()
 
-	// Zone POS: sorted by (p,o,s); column = subjects; C over predicates.
-	go func() {
-		defer wg.Done()
-		pos := make([]graph.Triple, n)
-		copy(pos, ts)
-		slices.SortFunc(pos, func(a, b graph.Triple) int {
-			if c := cmp.Compare(a.P, b.P); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.O, b.O); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.S, b.S)
-		})
-		col := make([]uint64, n)
-		for i, t := range pos {
-			col[i] = uint64(t.S)
-		}
-		r.cols[ZonePOS] = wavelet.New(col, uint64(r.numSO), wopt)
-		r.c[ZonePOS] = makeC(buildC(pos, graph.PosP, int(r.numP)), opt)
-	}()
-
-	// Zone OSP: sorted by (o,s,p); column = predicates; C over objects.
-	go func() {
-		defer wg.Done()
-		osp := make([]graph.Triple, n)
-		copy(osp, ts)
-		slices.SortFunc(osp, func(a, b graph.Triple) int {
-			if c := cmp.Compare(a.O, b.O); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.S, b.S); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.P, b.P)
-		})
-		col := make([]uint64, n)
-		for i, t := range osp {
-			col[i] = uint64(t.P)
-		}
-		r.cols[ZoneOSP] = wavelet.New(col, uint64(r.numP), wopt)
-		r.c[ZoneOSP] = makeC(buildC(osp, graph.PosO, int(r.numSO)), opt)
-	}()
+	osp, spare := graph.SortBy(slices.Clone(ts), make([]graph.Triple, n), graph.PosO)
+	if ringdebugEnabled {
+		debugCheckRotation(ZoneOSP, osp, n)
+	}
+	ospCol := column(ZoneOSP, osp)
+	pos, _ := graph.SortBy(osp, spare, graph.PosP)
+	if ringdebugEnabled {
+		debugCheckRotation(ZonePOS, pos, n)
+	}
+	posCol := column(ZonePOS, pos)
+	matrix(ZoneOSP, ospCol)
+	matrix(ZonePOS, posCol)
 
 	wg.Wait()
 	return r
@@ -178,16 +158,7 @@ func New(g *graph.Graph, opt Options) *Ring {
 func buildC(sorted []graph.Triple, pos graph.Position, alphabet int) []uint64 {
 	counts := make([]uint64, alphabet+1)
 	for _, t := range sorted {
-		var v graph.ID
-		switch pos {
-		case graph.PosS:
-			v = t.S
-		case graph.PosP:
-			v = t.P
-		case graph.PosO:
-			v = t.O
-		}
-		counts[v+1]++
+		counts[t.At(pos)+1]++
 	}
 	for i := 1; i <= alphabet; i++ {
 		counts[i] += counts[i-1]

@@ -2,13 +2,16 @@ package ring
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/testutil"
+	"repro/internal/wavelet"
 )
 
 var bothVariants = []struct {
@@ -544,6 +547,66 @@ func TestConcurrentReaders(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// refNew builds the ring as Section 4.1 describes it: each zone's rotation
+// order by its own comparison sort of the triples.
+func refNew(g *graph.Graph, opt Options) *Ring {
+	r := &Ring{n: g.Len(), numSO: g.NumSO(), numP: g.NumP(), opt: opt}
+	alphabet := func(p graph.Position) graph.ID {
+		if p == graph.PosP {
+			return g.NumP()
+		}
+		return g.NumSO()
+	}
+	for z := Zone(0); z < 3; z++ {
+		p0, p1, p2 := z.Start(), z.Start().Next(), z.Start().Prev()
+		sorted := slices.Clone(g.Triples())
+		slices.SortFunc(sorted, func(a, b graph.Triple) int {
+			return cmp.Or(cmp.Compare(a.At(p0), b.At(p0)), cmp.Compare(a.At(p1), b.At(p1)), cmp.Compare(a.At(p2), b.At(p2)))
+		})
+		col := make([]uint64, len(sorted))
+		counts := make([]uint64, alphabet(p0)+1)
+		for i, t := range sorted {
+			col[i] = uint64(t.At(p2))
+			counts[t.At(p0)+1]++
+		}
+		for c := 1; c < len(counts); c++ {
+			counts[c] += counts[c-1]
+		}
+		r.cols[z] = wavelet.New(col, uint64(alphabet(p2)), wavelet.Options{Compress: opt.Compress, RRRBlock: opt.RRRBlock})
+		r.c[z] = makeC(counts, opt)
+	}
+	return r
+}
+
+// TestNewMatchesComparisonSortBuild checks that deriving the rotations
+// by single-component passes writes the same bytes as sorting each one,
+// for every variant, over graphs whose ID spans take each branch of
+// graph.SortBy.
+func TestNewMatchesComparisonSortBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, c := range []struct {
+		n           int
+		numSO, numP graph.ID
+	}{
+		{0, 1, 1}, {1, 5, 2}, {400, 30, 4}, {3000, 2000, 40}, {20000, 70000, 5}, {300, 1 << 20, 1 << 18},
+	} {
+		g := testutil.RandomGraph(rng, c.n, c.numSO, c.numP)
+		for _, v := range bothVariants {
+			var got, want bytes.Buffer
+			if _, err := New(g, v.opt).WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := refNew(g, v.opt).WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s over %d triples (numSO %d, numP %d): New differs from the comparison-sort build",
+					v.name, g.Len(), c.numSO, c.numP)
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	mbits "math/bits"
 
 	"repro/internal/bits"
 	"repro/internal/bitvector"
@@ -87,8 +88,14 @@ func (m *Matrix) setLevels(levels []bitvector.Vector) {
 }
 
 // New builds a wavelet matrix over values, whose symbols must lie in
-// [0, sigma). Building takes O(n log σ) time.
-func New(values []uint64, sigma uint64, opt Options) *Matrix {
+// [0, sigma). Building takes O(n log σ) time, two passes over the values
+// per level, neither with data-dependent branches: one packs the level's
+// bits 64 at a time into words handed straight to the bitvector, the
+// other stable-partitions the values by that bit for the next level. The
+// partitions take two more arrays of the values' type, so a caller whose
+// symbols fit in 32 bits halves the build's working space by passing
+// uint32 values.
+func New[T uint32 | uint64](values []T, sigma uint64, opt Options) *Matrix {
 	if sigma == 0 {
 		sigma = 1
 	}
@@ -96,9 +103,17 @@ func New(values []uint64, sigma uint64, opt Options) *Matrix {
 	if sigma > 1 {
 		width = lenBits(sigma - 1)
 	}
+	var top T
+	for _, v := range values {
+		top = max(top, v)
+	}
+	if len(values) > 0 && uint64(top) >= sigma {
+		panic(fmt.Sprintf("wavelet: value %d out of alphabet [0,%d)", top, sigma))
+	}
+	n := len(values)
 	m := &Matrix{
 		zeros: make([]int, width),
-		n:     len(values),
+		n:     n,
 		sigma: sigma,
 		width: width,
 	}
@@ -107,41 +122,46 @@ func New(values []uint64, sigma uint64, opt Options) *Matrix {
 		opt.RRRBlock = 16
 	}
 
-	cur := make([]uint64, len(values))
-	copy(cur, values)
-	next := make([]uint64, len(values))
+	// Level 0 reads values; level l partitions into bufs[l%2] for the
+	// level after it.
+	cur := values
+	var bufs [2][]T
 	for l := uint(0); l < width; l++ {
-		shift := width - 1 - l
-		b := bitvector.NewBuilder(len(cur))
-		nz := 0
-		for i, v := range cur {
-			if v >= sigma {
-				panic(fmt.Sprintf("wavelet: value %d out of alphabet [0,%d)", v, sigma))
+		shift := (width - 1 - l) & 63 // the mask spares each shift a range check
+		words := make([]uint64, bits.WordsFor(uint64(n)))
+		ones := 0
+		for w := range words {
+			var word uint64
+			for j, v := range cur[w*64 : min(w*64+64, n)] {
+				word |= uint64(v) >> shift & 1 << (uint(j) & 63)
 			}
-			if (v>>shift)&1 == 1 {
-				b.Set(i)
-			} else {
-				nz++
-			}
+			words[w] = word
+			ones += mbits.OnesCount64(word)
 		}
+		nz := n - ones
 		m.zeros[l] = nz
 		if opt.Compress {
-			levels[l] = b.BuildRRR(opt.RRRBlock)
+			levels[l] = bitvector.RRRFromWords(words, n, opt.RRRBlock)
 		} else {
-			levels[l] = b.BuildPlain()
+			levels[l] = bitvector.PlainFromWords(words, n)
 		}
-		// Stable-partition for the next level: zeros first, then ones.
+		if l == width-1 {
+			break
+		}
+		// Zeros first, then ones: each value goes to slot zi or oi by its
+		// bit, and that cursor advances.
+		if bufs[l%2] == nil {
+			bufs[l%2] = make([]T, n)
+		}
+		next := bufs[l%2]
 		zi, oi := 0, nz
 		for _, v := range cur {
-			if (v>>shift)&1 == 1 {
-				next[oi] = v
-				oi++
-			} else {
-				next[zi] = v
-				zi++
-			}
+			b := int(uint64(v) >> shift & 1)
+			next[zi+(oi-zi)*b] = v
+			zi += 1 - b
+			oi += b
 		}
-		cur, next = next, cur
+		cur = next
 	}
 	m.setLevels(levels)
 	return m

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitvector"
 )
 
 func randomSeq(rng *rand.Rand, n int, sigma uint64) []uint64 {
@@ -204,7 +206,7 @@ func TestSingleSymbolAlphabet(t *testing.T) {
 }
 
 func TestEmptySequence(t *testing.T) {
-	m := New(nil, 10, Options{})
+	m := New[uint64](nil, 10, Options{})
 	if m.Len() != 0 {
 		t.Errorf("Len = %d", m.Len())
 	}
@@ -322,12 +324,24 @@ func TestCompressedSmallerOnSkewed(t *testing.T) {
 }
 
 func TestValueOutOfAlphabetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for out-of-alphabet value")
-		}
-	}()
-	New([]uint64{5}, 5, Options{})
+	for _, c := range []struct {
+		vals  []uint64
+		sigma uint64
+	}{
+		{[]uint64{5}, 5},
+		{[]uint64{0, 1, 2, 9, 3}, 8},
+		{[]uint64{1}, 1},
+		{[]uint64{0, 1 << 40}, 1 << 33},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for %v over alphabet [0,%d)", c.vals, c.sigma)
+				}
+			}()
+			New(c.vals, c.sigma, Options{})
+		}()
+	}
 }
 
 func TestRank2MatchesRank(t *testing.T) {
@@ -351,6 +365,85 @@ func TestRank2MatchesRank(t *testing.T) {
 		}
 		if a, b := m.Rank2(1, -5, len(s)+100); a != 0 || b != m.Rank(1, len(s)) {
 			t.Fatalf("%s: clamped Rank2 = (%d,%d)", tc.name, a, b)
+		}
+	}
+}
+
+// naiveNew is the per-bit reference builder: every level sets its bits
+// one at a time and partitions the values with a branch per value.
+func naiveNew(values []uint64, sigma uint64, opt Options) *Matrix {
+	sigma = max(sigma, 1)
+	width := uint(1)
+	if sigma > 1 {
+		width = lenBits(sigma - 1)
+	}
+	if opt.Compress && opt.RRRBlock == 0 {
+		opt.RRRBlock = 16
+	}
+	m := &Matrix{zeros: make([]int, width), n: len(values), sigma: sigma, width: width}
+	levels := make([]bitvector.Vector, width)
+	cur := append([]uint64(nil), values...)
+	for l := uint(0); l < width; l++ {
+		shift := width - 1 - l
+		b := bitvector.NewBuilder(len(cur))
+		var zeros, ones []uint64
+		for i, v := range cur {
+			if (v>>shift)&1 == 1 {
+				b.Set(i)
+				ones = append(ones, v)
+			} else {
+				zeros = append(zeros, v)
+			}
+		}
+		m.zeros[l] = len(zeros)
+		if opt.Compress {
+			levels[l] = b.BuildRRR(opt.RRRBlock)
+		} else {
+			levels[l] = b.BuildPlain()
+		}
+		cur = append(zeros, ones...)
+	}
+	m.setLevels(levels)
+	return m
+}
+
+// TestNewMatchesNaiveBuilder checks the word-at-a-time builder byte for
+// byte against the per-bit one, at lengths around a word boundary and
+// alphabets at and just past powers of two.
+func TestNewMatchesNaiveBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, sigma := range []uint64{1, 2, 3, 4, 5, 16, 17, 1 << 10, 1<<10 + 1, 1 << 33, 1<<33 + 1} {
+		for _, n := range []int{0, 1, 63, 64, 65, 1000 + rng.Intn(5000)} {
+			vals := randomSeq(rng, n, sigma)
+			if n > 1 {
+				vals[0], vals[n-1] = 0, sigma-1
+			}
+			for _, tc := range allOpts {
+				var got, want bytes.Buffer
+				if _, err := New(vals, sigma, tc.opt).WriteTo(&got); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := naiveNew(vals, sigma, tc.opt).WriteTo(&want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s σ=%d n=%d: New differs from the per-bit builder", tc.name, sigma, n)
+				}
+				if sigma > 1<<32 {
+					continue
+				}
+				narrow := make([]uint32, n)
+				for i, v := range vals {
+					narrow[i] = uint32(v)
+				}
+				got.Reset()
+				if _, err := New(narrow, sigma, tc.opt).WriteTo(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s σ=%d n=%d: New over uint32 values differs from the per-bit builder", tc.name, sigma, n)
+				}
+			}
 		}
 	}
 }
