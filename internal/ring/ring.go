@@ -257,11 +257,32 @@ func (r *Ring) lfPos(z Zone, c uint64, rk int) int {
 	return j
 }
 
-// Triples reconstructs the full sorted triple list from the index.
+// Triples reconstructs the full sorted triple list from the index. It is
+// Triple(i) for every i, done in linear passes rather than n pairs of
+// LF-steps: the subjects follow from C_s (zone SPO is sorted by subject),
+// the objects are zone SPO's column, and each triple's predicate sits in
+// zone OSP's column at the LF-step of its object, C_o[o] plus the number
+// of earlier rotations in zone SPO with the same object.
 func (r *Ring) Triples() []graph.Triple {
 	out := make([]graph.Triple, r.n)
-	for i := range out {
-		out[i] = r.Triple(i)
+	if r.n == 0 {
+		return out
+	}
+	objs := r.cols[ZoneSPO].Values()
+	preds := r.cols[ZoneOSP].Values()
+	seen := make([]int, r.c[ZoneOSP].Len())
+	s, next := 0, int(r.c[ZoneSPO].Get(1))
+	for i, o := range objs {
+		for i >= next && s+2 < r.c[ZoneSPO].Len() {
+			s++
+			next = int(r.c[ZoneSPO].Get(s + 1))
+		}
+		j := 0
+		if o < uint64(len(seen)) {
+			j = r.lfPos(ZoneOSP, o, seen[o])
+			seen[o]++
+		}
+		out[i] = graph.Triple{S: graph.ID(s), P: graph.ID(preds[j]), O: graph.ID(o)}
 	}
 	return out
 }

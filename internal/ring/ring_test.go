@@ -46,6 +46,31 @@ func TestTripleRetrievalReplacesData(t *testing.T) {
 	}
 }
 
+// TestTriplesMatchesTriple checks the linear-pass Triples against the
+// per-position LF-step reconstruction and the graph, on graphs whose
+// columns span several wavelet levels.
+func TestTriplesMatchesTriple(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, v := range bothVariants {
+		for _, c := range []struct {
+			n           int
+			numSO, numP graph.ID
+		}{{2000, 1000, 30}, {3000, 1 << 16, 300}, {50, 1 << 20, 2}} {
+			g := testutil.RandomGraph(rng, c.n, c.numSO, c.numP)
+			r := New(g, v.opt)
+			got := r.Triples()
+			if !slices.Equal(got, g.Triples()) {
+				t.Fatalf("%s over %d triples: Triples differs from the graph", v.name, g.Len())
+			}
+			for i := range got {
+				if tr := r.Triple(i); tr != got[i] {
+					t.Fatalf("%s: Triples()[%d] = %v, Triple(%d) = %v", v.name, i, got[i], i, tr)
+				}
+			}
+		}
+	}
+}
+
 // lfCycleCheck verifies Lemma 3.3 for rotation i of zone SPO: three
 // LF-steps return to i.
 func lfCycleCheck(r *Ring, i int) bool {

@@ -413,6 +413,46 @@ func (m *Matrix) rangeNext(lo, hi int, c uint64) (uint64, bool) {
 	return prefix, true
 }
 
+// Values returns the whole sequence S[0, n) in order. It replays the
+// build's stable partitions level by level, reading each level's bits once
+// in order, so it costs O(n log σ) sequential work instead of n separate
+// descents. Each level's zero count is taken from its bits, so a corrupt
+// (viewed) matrix decodes to wrong values, never to an out-of-range write.
+func (m *Matrix) Values() []uint64 {
+	n := m.n
+	idx, val := make([]uint32, n), make([]uint64, n)
+	for i := range idx {
+		idx[i] = uint32(i)
+	}
+	nidx, nval := make([]uint32, n), make([]uint64, n)
+	for l := uint(0); l < m.width; l++ {
+		nz := 0
+		for k := 0; k < n; k++ {
+			if !m.get(l, k) {
+				nz++
+			}
+		}
+		zi, oi := 0, nz
+		for k := 0; k < n; k++ {
+			b := 0
+			if m.get(l, k) {
+				b = 1
+			}
+			at := zi + (oi-zi)*b
+			nidx[at], nval[at] = idx[k], val[k]<<1|uint64(b)
+			zi += 1 - b
+			oi += b
+		}
+		idx, nidx = nidx, idx
+		val, nval = nval, val
+	}
+	out := nval[:n] // reuse the spare buffer for the result
+	for k, i := range idx {
+		out[i] = val[k]
+	}
+	return out
+}
+
 // DistinctInRange calls visit once per distinct symbol occurring in
 // S[lo, hi), in increasing symbol order, with the symbol's multiplicity in
 // the range. If visit returns false the enumeration stops early.

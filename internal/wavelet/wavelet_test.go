@@ -3,6 +3,7 @@ package wavelet
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -428,6 +429,9 @@ func TestNewMatchesNaiveBuilder(t *testing.T) {
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
 					t.Fatalf("%s σ=%d n=%d: New differs from the per-bit builder", tc.name, sigma, n)
+				}
+				if dec := New(vals, sigma, tc.opt).Values(); len(dec) != n || (n > 0 && !slices.Equal(dec, vals)) {
+					t.Fatalf("%s σ=%d n=%d: Values does not return the input", tc.name, sigma, n)
 				}
 				if sigma > 1<<32 {
 					continue
