@@ -174,6 +174,41 @@ func (p *Plain) Rank1(i int) int {
 	return r
 }
 
+// Rank1Pair returns Rank1(i) and Rank1(j) for a nonempty range
+// 0 <= i < j <= Len(), the pair step of a wavelet descent. It reads i's
+// word and j-1's, both inside the vector (Rank1 needs a branch for an
+// end at Len() on a word boundary), with no branch at all: when both
+// ends fall in one word, as most do, the second lookup hits the cache
+// lines the first loaded. That keeps it inlinable, which a branch to
+// share the lookup is not.
+//
+//ringlint:hotpath
+func (p *Plain) Rank1Pair(i, j int) (int, int) {
+	j--
+	ri := int(p.super[uint(i)/superBits]) + int(p.sub[i>>6]) + mbits.OnesCount64(p.words[i>>6]&(1<<(i&63)-1))
+	rj := int(p.super[uint(j)/superBits]) + int(p.sub[j>>6]) + mbits.OnesCount64(p.words[j>>6]&(2<<(j&63)-1))
+	if ringdebugEnabled {
+		p.debugCheckRank1Pair(i, j+1, ri, rj)
+	}
+	return ri, rj
+}
+
+// Rank1Bit returns Rank1(i) and bit i as 0 or 1, for 0 <= i < Len(),
+// from one directory lookup and one word read: the step a wavelet
+// descent takes when its range is a single position.
+//
+//ringlint:hotpath
+func (p *Plain) Rank1Bit(i int) (int, uint) {
+	w := i >> 6
+	word := p.words[w]
+	r := int(p.super[uint(i)/superBits]) + int(p.sub[w]) + mbits.OnesCount64(word&(1<<(uint(i)&63)-1))
+	b := uint(word>>(uint(i)&63)) & 1
+	if ringdebugEnabled {
+		p.debugCheckRank1Bit(i, r, b)
+	}
+	return r, b
+}
+
 // Rank0 returns the number of zeros in [0, i).
 //
 //ringlint:hotpath

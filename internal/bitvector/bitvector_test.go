@@ -143,8 +143,39 @@ func TestPlainAgainstNaive(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 511, 512, 513, 1000, 4096} {
 		for _, density := range []float64{0, 0.01, 0.5, 0.99, 1} {
 			bs := randomBits(rng, n, density)
-			checkAgainstNaive(t, buildPlain(bs), bs, "plain")
+			p := buildPlain(bs)
+			checkAgainstNaive(t, p, bs, "plain")
+			checkDescentSteps(t, p, bs)
 		}
+	}
+}
+
+// checkDescentSteps verifies Rank1Bit at every position, and Rank1Pair
+// on every nonempty range inside one word and every range ending at the
+// vector's end.
+func checkDescentSteps(t *testing.T, p *Plain, bs []bool) {
+	t.Helper()
+	n := len(bs)
+	rank := make([]int, n+1)
+	for i, b := range bs {
+		rank[i+1] = rank[i]
+		if b {
+			rank[i+1]++
+		}
+	}
+	pair := func(i, j int) {
+		if ri, rj := p.Rank1Pair(i, j); ri != rank[i] || rj != rank[j] {
+			t.Fatalf("n=%d: Rank1Pair(%d, %d) = (%d, %d), want (%d, %d)", n, i, j, ri, rj, rank[i], rank[j])
+		}
+	}
+	for i := 0; i < n; i++ {
+		if r, b := p.Rank1Bit(i); r != rank[i] || (b == 1) != bs[i] || b > 1 {
+			t.Fatalf("n=%d: Rank1Bit(%d) = (%d, %d), want (%d, %v)", n, i, r, b, rank[i], bs[i])
+		}
+		for j := i + 1; j <= n && (j-1)>>6 == i>>6; j++ {
+			pair(i, j)
+		}
+		pair(i, n)
 	}
 }
 

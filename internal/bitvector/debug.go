@@ -97,3 +97,20 @@ func (r *RRR) debugCheckSelect(k, pos int, one bool) {
 			k, pos, r.Get(pos), r.Rank0(pos)))
 	}
 }
+
+// debugCheckRank1Pair asserts Rank1Pair's shared-word answer against two
+// separate Rank1 calls.
+func (p *Plain) debugCheckRank1Pair(i, j, ri, rj int) {
+	if wi, wj := p.Rank1(i), p.Rank1(j); ri != wi || rj != wj {
+		panic(fmt.Sprintf("ringdebug: bitvector: Plain Rank1Pair(%d, %d) = (%d, %d), Rank1 gives (%d, %d)",
+			i, j, ri, rj, wi, wj))
+	}
+}
+
+// debugCheckRank1Bit asserts Rank1Bit against Rank1 and Get.
+func (p *Plain) debugCheckRank1Bit(i, r int, b uint) {
+	if want := p.Rank1(i); r != want || (b == 1) != p.Get(i) {
+		panic(fmt.Sprintf("ringdebug: bitvector: Plain Rank1Bit(%d) = (%d, %d), Rank1 gives %d and Get %v",
+			i, r, b, want, p.Get(i)))
+	}
+}

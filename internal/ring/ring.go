@@ -106,8 +106,9 @@ type Ring struct {
 // a second goroutine while this one runs the OSP → POS chain; each writes
 // only its own zones, so the result does not depend on scheduling. The
 // chain takes both columns out of the triple arrays before it builds
-// either wavelet matrix, so the arrays are garbage by then. It runs in
-// O(n log σ) time and O(n) words of working space per goroutine.
+// either wavelet matrix, so the arrays are garbage by then, and then
+// builds the two matrices side by side, OSP's in a third goroutine. It
+// runs in O(n log σ) time and O(n) words of working space per goroutine.
 func New(g *graph.Graph, opt Options) *Ring {
 	ts := g.Triples() // already sorted (s,p,o)
 	n := len(ts)
@@ -146,7 +147,11 @@ func New(g *graph.Graph, opt Options) *Ring {
 		debugCheckRotation(ZonePOS, pos, n)
 	}
 	posCol := column(ZonePOS, pos)
-	matrix(ZoneOSP, ospCol)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		matrix(ZoneOSP, ospCol)
+	}()
 	matrix(ZonePOS, posCol)
 
 	wg.Wait()

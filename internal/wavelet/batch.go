@@ -82,7 +82,8 @@ func (m *Matrix) NextValues(lo, hi int, c uint64, buf []uint64) []uint64 {
 
 // nextValues is the hot DFS behind NextValues: distinct-symbol
 // enumeration with a lower bound, pruning any subtree whose value
-// interval lies entirely below c.
+// interval lies entirely below c. A node whose range is one position
+// finishes with valueAt and keeps the value if it is ≥ c.
 //
 //ringlint:hotpath
 func (m *Matrix) nextValues(lo, hi int, c uint64, buf []uint64) []uint64 {
@@ -90,17 +91,28 @@ func (m *Matrix) nextValues(lo, hi int, c uint64, buf []uint64) []uint64 {
 	stack := (*sp)[:0]
 	cur := dnode{0, lo, hi, 0}
 	for {
-		if cur.lo < cur.hi && m.subtreeMax(cur.l, cur.prefix) >= c {
-			if cur.l < m.width {
-				r1lo, r1hi := m.rank1(cur.l, cur.lo), m.rank1(cur.l, cur.hi)
+		if size := cur.hi - cur.lo; size > 0 && m.subtreeMax(cur.l, cur.prefix) >= c {
+			v := cur.prefix
+			if size == 1 {
+				// One position: its value is the node's only candidate.
+				v = m.valueAt(cur.l, cur.lo, cur.prefix)
+			} else if cur.l < m.width {
+				var r1lo, r1hi int
+				if m.plain != nil {
+					r1lo, r1hi = m.plain[cur.l].Rank1Pair(cur.lo, cur.hi)
+				} else {
+					r1lo, r1hi = m.levelRank1Pair(cur.l, cur.lo, cur.hi)
+				}
 				z := m.zeros[cur.l]
 				stack = append(stack, dnode{cur.l + 1, z + r1lo, z + r1hi, cur.prefix<<1 | 1})
 				cur = dnode{cur.l + 1, cur.lo - r1lo, cur.hi - r1hi, cur.prefix << 1}
 				continue
 			}
-			buf = append(buf, cur.prefix)
-			if len(buf) == cap(buf) {
-				break
+			if v >= c {
+				buf = append(buf, v)
+				if len(buf) == cap(buf) {
+					break
+				}
 			}
 		}
 		if len(stack) == 0 {
@@ -206,10 +218,11 @@ func (m *Matrix) IntersectRanges(ranges [][2]int, emit func(v uint64) bool) {
 }
 
 // intersectRanges is the hot DFS behind IntersectRanges. Per node it
-// computes the k pairs of child ranges into zb/ob with one rank pair per
+// computes the k pairs of child ranges into zb/ob with one pair step per
 // range, then either descends (swapping the buffers — no copying) into
 // the surviving child, parking the 1-child when both survive, or pops
-// the deepest parked sibling.
+// the deepest parked sibling. A node where some range holds one position
+// finishes with intersectTail instead.
 //
 //ringlint:hotpath
 func intersectRanges(rs []MatrixRange, w uint, sc *isScratch, emit func(v uint64) bool) {
@@ -234,12 +247,28 @@ func intersectRanges(rs []MatrixRange, w uint, sc *isScratch, emit func(v uint64
 	bounds := sc.bounds[:0]
 	l, prefix := uint(0), uint64(0)
 	for {
-		if l < w {
+		one := -1
+		for i := 0; i < k; i++ {
+			if cur[2*i+1]-cur[2*i] == 1 {
+				one = i
+				break
+			}
+		}
+		if one >= 0 {
+			if v, ok := intersectTail(rs, cur, one, l, w, prefix); ok && !emit(v) {
+				break
+			}
+		} else if l < w {
 			zeroOK, oneOK := true, true
 			for i := 0; i < k; i++ {
 				m := rs[i].M
 				lo, hi := cur[2*i], cur[2*i+1]
-				r1lo, r1hi := m.rank1(l, lo), m.rank1(l, hi)
+				var r1lo, r1hi int
+				if m.plain != nil {
+					r1lo, r1hi = m.plain[l].Rank1Pair(lo, hi)
+				} else {
+					r1lo, r1hi = m.levelRank1Pair(l, lo, hi)
+				}
 				z := m.zeros[l]
 				if lo-r1lo >= hi-r1hi {
 					zeroOK = false
@@ -279,4 +308,52 @@ func intersectRanges(rs []MatrixRange, w uint, sc *isScratch, emit func(v uint64
 	// Hand the (swapped-around) buffers back so the pool keeps them warm.
 	sc.cur, sc.zb, sc.ob = cur, zb, ob
 	sc.frames, sc.bounds = frames[:0], bounds[:0]
+}
+
+// intersectTail finishes a node of intersectRanges at level l where
+// range one holds a single position. That position's value is the only
+// one the node can emit, and its path is fixed: each level takes one
+// rank and one bit for it, and the other ranges take one pair step and
+// follow that bit without branching on it. It returns the value and
+// whether every range still holds it, stopping at the first range that
+// runs empty. It overwrites cur.
+//
+//ringlint:hotpath
+func intersectTail(rs []MatrixRange, cur []int, one int, l, w uint, prefix uint64) (uint64, bool) {
+	m1 := rs[one].M
+	p := cur[2*one]
+	for ; l < w; l++ {
+		var r int
+		var b uint
+		if m1.plain != nil {
+			r, b = m1.plain[l].Rank1Bit(p)
+		} else {
+			r, b = m1.levelRank1Bit(l, p)
+		}
+		mask := -int(b)
+		for i := range rs {
+			if i == one {
+				continue
+			}
+			m := rs[i].M
+			lo, hi := cur[2*i], cur[2*i+1]
+			var r1lo, r1hi int
+			if m.plain != nil {
+				r1lo, r1hi = m.plain[l].Rank1Pair(lo, hi)
+			} else {
+				r1lo, r1hi = m.levelRank1Pair(l, lo, hi)
+			}
+			// mask == -1: zeros[l] + rank; mask == 0: position - rank.
+			z := m.zeros[l]
+			lo += (z+2*r1lo-lo)&mask - r1lo
+			hi += (z+2*r1hi-hi)&mask - r1hi
+			if lo >= hi {
+				return 0, false
+			}
+			cur[2*i], cur[2*i+1] = lo, hi
+		}
+		p += (m1.zeros[l]+2*r-p)&mask - r
+		prefix = prefix<<1 | uint64(b)
+	}
+	return prefix, true
 }

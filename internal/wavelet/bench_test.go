@@ -155,25 +155,68 @@ func BenchmarkWaveletRangeNext(b *testing.B) {
 	}
 }
 
+// BenchmarkWaveletDistinct enumerates the distinct symbols of a
+// 512-position range, and of a range of one to four positions, where a
+// range of one position soon fixes the rest of the path.
 func BenchmarkWaveletDistinct(b *testing.B) {
 	for _, v := range benchVariants {
-		b.Run(v.name, func(b *testing.B) {
-			e := loadBenchMats()
-			m := v.get(e)
-			b.ResetTimer()
-			s := 0
-			for i := 0; i < b.N; i++ {
-				lo := (i * 509) & (benchN - 1)
-				hi := lo + 512
-				if hi > benchN {
-					hi = benchN
+		for _, tc := range []struct {
+			name string
+			size func(i int) int
+		}{
+			{"512", func(int) int { return 512 }},
+			{"le4", func(i int) int { return 1 + i&3 }},
+		} {
+			b.Run(v.name+"/"+tc.name, func(b *testing.B) {
+				m := v.get(loadBenchMats())
+				b.ResetTimer()
+				s := 0
+				for i := 0; i < b.N; i++ {
+					lo := (i * 509) & (benchN - 1)
+					hi := min(lo+tc.size(i), benchN)
+					m.DistinctInRange(lo, hi, func(c uint64, cnt int) bool {
+						s += cnt
+						return true
+					})
 				}
-				m.DistinctInRange(lo, hi, func(c uint64, cnt int) bool {
-					s += cnt
-					return true
-				})
-			}
-			sinkInt = s
-		})
+				sinkInt = s
+			})
+		}
+	}
+}
+
+// BenchmarkIntersectRanges intersects two ranges of one matrix (k = 2),
+// in two cases: tiny ranges of one to four positions, where a range of
+// one position soon fixes the rest of the path, and wide ranges of 4,096
+// positions, where the walk branches before it narrows.
+func BenchmarkIntersectRanges(b *testing.B) {
+	for _, v := range benchVariants {
+		for _, tc := range []struct {
+			name  string
+			sizes func(*rand.Rand) (int, int)
+		}{
+			{"tiny", func(rng *rand.Rand) (int, int) { return 1 + rng.Intn(4), 1 + rng.Intn(4) }},
+			{"wide", func(*rand.Rand) (int, int) { return 4096, 4096 }},
+		} {
+			b.Run(v.name+"/"+tc.name, func(b *testing.B) {
+				m := v.get(loadBenchMats())
+				rng := rand.New(rand.NewSource(54))
+				qs := make([][][2]int, 1024)
+				for i := range qs {
+					a, c := tc.sizes(rng)
+					lo1, lo2 := rng.Intn(benchN-a), rng.Intn(benchN-c)
+					qs[i] = [][2]int{{lo1, lo1 + a}, {lo2, lo2 + c}}
+				}
+				b.ResetTimer()
+				s := 0
+				for i := 0; i < b.N; i++ {
+					m.IntersectRanges(qs[i&1023], func(uint64) bool {
+						s++
+						return true
+					})
+				}
+				sinkInt = s
+			})
+		}
 	}
 }

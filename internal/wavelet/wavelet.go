@@ -39,10 +39,13 @@ type Options struct {
 type Matrix struct {
 	levels []bitvector.Vector
 
-	// Devirtualized view of levels, non-nil when every level is Plain.
-	// Derived by setLevels: rebuilt on load, never serialized.
+	// The levels by value, non-nil when every level is Plain; levels[l]
+	// then points at plain[l]. A descent indexes it and inlines
+	// Plain.Rank1Pair and Plain.Rank1Bit with no interface call and no
+	// pointer to chase. Derived by setLevels: rebuilt on load, never
+	// serialized.
 	//ringlint:derived
-	plains []*bitvector.Plain
+	plain []bitvector.Plain
 
 	zeros []int // zeros[l]: number of 0-bits at level l
 	n     int
@@ -50,41 +53,69 @@ type Matrix struct {
 	width uint // number of levels = bits to code sigma-1
 }
 
-// rank1 performs a level rank through the concrete type when possible,
-// letting the hot Plain.Rank1 inline.
+// rank1 performs a single level rank through the plain view when there
+// is one. The descents' pair and single-position steps do not come here:
+// they call Plain.Rank1Pair and Plain.Rank1Bit inline and fall back to
+// levelRank1Pair and levelRank1Bit.
 //
 //ringlint:hotpath
 func (m *Matrix) rank1(l uint, i int) int {
-	if m.plains != nil {
-		return m.plains[l].Rank1(i)
+	if m.plain != nil {
+		return m.plain[l].Rank1(i)
 	}
 	return m.levels[l].Rank1(i) //ringlint:allow hotpath -- compressed-level fallback; the Plain fast path above stays devirtualized
 }
 
-// get reads level bit i through the concrete type when possible, same
-// devirtualization pattern as rank1.
+// levelRank1Pair is the compressed-level fallback of the pair step:
+// level l's Rank1 at i and j through the interface.
+//
+//ringlint:hotpath allow-dispatch -- the compressed-level fallback of Plain.Rank1Pair
+func (m *Matrix) levelRank1Pair(l uint, i, j int) (int, int) {
+	lv := m.levels[l]
+	return lv.Rank1(i), lv.Rank1(j)
+}
+
+// levelRank1Bit is the compressed-level fallback of the single-position
+// step: level l's Rank1 at i and bit i. A corrupt (viewed) compressed
+// level can return ranks inconsistent with its bits and steer i out of
+// [0, n); the bit reads as 0 there instead of panicking in Get.
+//
+//ringlint:hotpath allow-dispatch -- the compressed-level fallback of Plain.Rank1Bit
+func (m *Matrix) levelRank1Bit(l uint, i int) (int, uint) {
+	lv := m.levels[l]
+	if uint(i) < uint(m.n) && lv.Get(i) {
+		return lv.Rank1(i), 1
+	}
+	return lv.Rank1(i), 0
+}
+
+// get reads level bit i through the plain view when there is one.
 //
 //ringlint:hotpath
 func (m *Matrix) get(l uint, i int) bool {
-	if m.plains != nil {
-		return m.plains[l].Get(i)
+	if m.plain != nil {
+		return m.plain[l].Get(i)
 	}
 	return m.levels[l].Get(i) //ringlint:allow hotpath -- compressed-level fallback; the Plain fast path above stays devirtualized
 }
 
-// setLevels installs the level bitvectors and the devirtualized view.
+// setLevels installs the level bitvectors and, when every level is
+// Plain, the by-value view the levels then point into.
 func (m *Matrix) setLevels(levels []bitvector.Vector) {
 	m.levels = levels
-	plains := make([]*bitvector.Plain, len(levels))
+	m.plain = nil
+	plain := make([]bitvector.Plain, len(levels))
 	for i, lv := range levels {
 		p, ok := lv.(*bitvector.Plain)
 		if !ok {
-			m.plains = nil
 			return
 		}
-		plains[i] = p
+		plain[i] = *p
 	}
-	m.plains = plains
+	for i := range plain {
+		levels[i] = &plain[i]
+	}
+	m.plain = plain
 }
 
 // New builds a wavelet matrix over values, whose symbols must lie in
@@ -189,28 +220,33 @@ func (m *Matrix) Access(i int) uint64 {
 	if i < 0 || i >= m.n {
 		panic(fmt.Sprintf("wavelet: Access(%d) out of range [0,%d)", i, m.n))
 	}
-	var v uint64
-	for l := uint(0); l < m.width; l++ {
-		v <<= 1
-		if m.get(l, i) {
-			v |= 1
-			i = m.zeros[l] + m.rank1(l, i)
-		} else {
-			i -= m.rank1(l, i) // rank0
-		}
-		// On a well-formed matrix i stays in [0, n); a corrupt (viewed)
-		// compressed level can return ranks inconsistent with its bits,
-		// and the next level's get would panic.
-		if i >= m.n {
-			i = m.n - 1
-		} else if i < 0 {
-			i = 0
-		}
-	}
+	v := m.valueAt(0, i, 0)
 	if ringdebugEnabled {
 		m.debugCheckAccess(v)
 	}
 	return v
+}
+
+// valueAt returns the symbol at position p of the level-l node whose
+// bit-prefix is prefix. One position fixes the path below it: each level
+// takes one rank and one bit from one word, and the bit picks the next
+// position without a branch.
+//
+//ringlint:hotpath
+func (m *Matrix) valueAt(l uint, p int, prefix uint64) uint64 {
+	for ; l < m.width; l++ {
+		var r int
+		var b uint
+		if m.plain != nil {
+			r, b = m.plain[l].Rank1Bit(p)
+		} else {
+			r, b = m.levelRank1Bit(l, p)
+		}
+		// b == 1: zeros[l] + r; b == 0: p - r.
+		p += (m.zeros[l]+2*r-p)&-int(b) - r
+		prefix = prefix<<1 | uint64(b)
+	}
+	return prefix
 }
 
 // Rank returns the number of occurrences of c in the prefix S[0, i).
@@ -237,9 +273,10 @@ func (m *Matrix) Rank(c uint64, i int) int {
 }
 
 // Rank2 returns Rank(c, i) and Rank(c, j) with one shared descent: the
-// block-start pointer is computed once instead of twice, saving a third
-// of the bitvector ranks. It is the workhorse of the ring's Bind step
-// (one LF-step needs the rank at both range endpoints).
+// block-start pointer is computed once instead of twice, and while
+// [i, j) is nonempty its two ends take one pair step per level. It is
+// the workhorse of the ring's Bind step (one LF-step needs the rank at
+// both range endpoints).
 //
 //ringlint:hotpath
 func (m *Matrix) Rank2(c uint64, i, j int) (int, int) {
@@ -254,15 +291,22 @@ func (m *Matrix) Rank2(c uint64, i, j int) (int, int) {
 	}
 	s := 0
 	for l := uint(0); l < m.width; l++ {
+		var ri, rj int
+		switch {
+		case i >= j:
+			ri, rj = m.rank1(l, i), m.rank1(l, j)
+		case m.plain != nil:
+			ri, rj = m.plain[l].Rank1Pair(i, j)
+		default:
+			ri, rj = m.levelRank1Pair(l, i, j)
+		}
 		if (c>>(m.width-1-l))&1 == 1 {
 			z := m.zeros[l]
 			s = z + m.rank1(l, s)
-			i = z + m.rank1(l, i)
-			j = z + m.rank1(l, j)
+			i, j = z+ri, z+rj
 		} else {
 			s -= m.rank1(l, s)
-			i -= m.rank1(l, i)
-			j -= m.rank1(l, j)
+			i, j = i-ri, j-rj
 		}
 	}
 	return i - s, j - s
@@ -295,32 +339,23 @@ func (m *Matrix) Select(c uint64, k int) int {
 		return -1
 	}
 	pos := s + k - 1
-	// Ascend. k <= e-s guarantees pos stays inside c's block at every
-	// level, so the selects cannot fail on the devirtualized path.
-	if m.plains != nil {
-		for l := int(m.width) - 1; l >= 0; l-- {
-			B := m.plains[l]
-			if (c>>(m.width-1-uint(l)))&1 == 1 {
-				pos = B.Select1(pos - m.zeros[l] + 1)
-			} else {
-				pos = B.Select0(pos + 1)
-			}
+	// Ascend. k <= e-s keeps pos inside c's block at every level, so the
+	// selects fail only on a corrupt (viewed) compressed level.
+	for l := int(m.width) - 1; l >= 0 && pos >= 0; l-- {
+		one := (c>>(m.width-1-uint(l)))&1 == 1
+		switch {
+		case m.plain == nil && one:
+			pos = m.levels[l].Select1(pos - m.zeros[l] + 1) //ringlint:allow hotpath -- compressed-level fallback ascent
+		case m.plain == nil:
+			pos = m.levels[l].Select0(pos + 1) //ringlint:allow hotpath -- compressed-level fallback ascent
+		case one:
+			pos = m.plain[l].Select1(pos - m.zeros[l] + 1)
+		default:
+			pos = m.plain[l].Select0(pos + 1)
 		}
-		if ringdebugEnabled {
-			m.debugCheckSelect(c, k, pos)
-		}
-		return pos
 	}
-	for l := int(m.width) - 1; l >= 0; l-- {
-		B := m.levels[l]
-		if (c>>(m.width-1-uint(l)))&1 == 1 {
-			pos = B.Select1(pos - m.zeros[l] + 1) //ringlint:allow hotpath -- compressed-level fallback ascent
-		} else {
-			pos = B.Select0(pos + 1) //ringlint:allow hotpath -- compressed-level fallback ascent
-		}
-		if pos < 0 {
-			return -1
-		}
+	if pos < 0 {
+		return -1
 	}
 	if ringdebugEnabled {
 		m.debugCheckSelect(c, k, pos)
@@ -377,10 +412,23 @@ func (m *Matrix) rangeNext(lo, hi int, c uint64) (uint64, bool) {
 
 	l, prefix := uint(0), uint64(0)
 	for lo < hi {
+		if hi-lo == 1 {
+			// The one position's value is the only candidate below this
+			// node, and smaller than any fallback's.
+			if v := m.valueAt(l, lo, prefix); v >= c {
+				return v, true
+			}
+			break
+		}
 		if l == m.width {
 			return prefix, true // c itself occurs in the range
 		}
-		r1lo, r1hi := m.rank1(l, lo), m.rank1(l, hi)
+		var r1lo, r1hi int
+		if m.plain != nil {
+			r1lo, r1hi = m.plain[l].Rank1Pair(lo, hi)
+		} else {
+			r1lo, r1hi = m.levelRank1Pair(l, lo, hi)
+		}
 		if (c>>(m.width-1-l))&1 == 0 {
 			if lo1, hi1 := m.zeros[l]+r1lo, m.zeros[l]+r1hi; lo1 < hi1 {
 				fbL, fbLo, fbHi, fbPrefix = l+1, lo1, hi1, prefix<<1|1
@@ -401,7 +449,15 @@ func (m *Matrix) rangeNext(lo, hi int, c uint64) (uint64, bool) {
 	// never empty below a non-empty node, so no further backtracking.
 	l, lo, hi, prefix = fbL, fbLo, fbHi, fbPrefix
 	for ; l < m.width; l++ {
-		r1lo, r1hi := m.rank1(l, lo), m.rank1(l, hi)
+		if hi-lo == 1 {
+			return m.valueAt(l, lo, prefix), true
+		}
+		var r1lo, r1hi int
+		if m.plain != nil {
+			r1lo, r1hi = m.plain[l].Rank1Pair(lo, hi)
+		} else {
+			r1lo, r1hi = m.levelRank1Pair(l, lo, hi)
+		}
 		if lo-r1lo < hi-r1hi {
 			lo, hi = lo-r1lo, hi-r1hi
 			prefix <<= 1
@@ -472,7 +528,8 @@ func (m *Matrix) DistinctInRange(lo, hi int, visit func(c uint64, count int) boo
 // distinct enumerates the distinct symbols of [lo, hi) in increasing
 // order with an explicit-stack DFS: at each node the 1-child is parked on
 // the stack and the walk continues into the 0-child, so symbols surface
-// in sorted order. The stack holds at most one pending sibling per level
+// in sorted order. A node whose range is one position finishes with
+// valueAt instead. The stack holds at most one pending sibling per level
 // (width ≤ 64) and is recycled through dnodePool (shared with the batched
 // descents in batch.go) — a fixed stack array would zero 2KB per call.
 //
@@ -482,15 +539,25 @@ func (m *Matrix) distinct(lo, hi int, visit func(uint64, int) bool) {
 	stack := (*sp)[:0]
 	cur := dnode{0, lo, hi, 0}
 	for {
-		if cur.lo < cur.hi {
+		if size := cur.hi - cur.lo; size == 1 {
+			// One position: one symbol, once (see valueAt).
+			if !visit(m.valueAt(cur.l, cur.lo, cur.prefix), 1) {
+				break
+			}
+		} else if size > 0 {
 			if cur.l < m.width {
-				r1lo, r1hi := m.rank1(cur.l, cur.lo), m.rank1(cur.l, cur.hi)
+				var r1lo, r1hi int
+				if m.plain != nil {
+					r1lo, r1hi = m.plain[cur.l].Rank1Pair(cur.lo, cur.hi)
+				} else {
+					r1lo, r1hi = m.levelRank1Pair(cur.l, cur.lo, cur.hi)
+				}
 				z := m.zeros[cur.l]
 				stack = append(stack, dnode{cur.l + 1, z + r1lo, z + r1hi, cur.prefix<<1 | 1})
 				cur = dnode{cur.l + 1, cur.lo - r1lo, cur.hi - r1hi, cur.prefix << 1}
 				continue
 			}
-			if !visit(cur.prefix, cur.hi-cur.lo) {
+			if !visit(cur.prefix, size) {
 				break
 			}
 		}
